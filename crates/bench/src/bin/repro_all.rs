@@ -90,24 +90,15 @@ fn main() {
         }
         trace_txt.push('\n');
     }
-    // Engine cone/cache telemetry header — the sweep above is exactly
-    // the work the incremental engine's tiers deduplicate, so the trace
-    // leads with what was reused vs recomputed.
+    // Engine cache telemetry header: the trace leads with what the
+    // cache reused vs recomputed.
     let s = engine.stats();
     trace_txt.insert_str(
         0,
         &format!(
             "=== engine: {} cache hits / {} misses, {} passes executed, \
-             cones {} reused / {} recomputed, disk {} hits / {} misses, \
              {} evictions ===\n\n",
-            s.cache_hits,
-            s.cache_misses,
-            s.passes_executed,
-            s.cones_reused,
-            s.cones_recomputed,
-            s.disk_hits,
-            s.disk_misses,
-            s.evictions
+            s.cache_hits, s.cache_misses, s.passes_executed, s.evictions
         ),
     );
     fs::write(out_dir.join("flow_trace.txt"), &trace_txt).expect("write flow trace");

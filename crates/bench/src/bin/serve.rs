@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! cargo run --release -p wavepipe-bench --bin wavepipe-serve -- \
-//!     --addr 127.0.0.1:7117 --workers 8 --cache-dir /tmp/wp-disk
+//!     --addr 127.0.0.1:7117 --workers 8
 //! ```
 //!
 //! Every flag also has a `WAVEPIPE_SERVE_*` environment form (flags
@@ -23,7 +23,6 @@ use wavepipe_serve::{ServeConfig, Server};
 fn main() {
     let mut addr = "127.0.0.1:7117".to_owned();
     let mut config = ServeConfig::from_env();
-    let mut cache_dir: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -38,10 +37,9 @@ fn main() {
                 config.client_queue = value("--client-queue").parse().expect("--client-queue N");
             }
             "--no-shed" => config.shed_slow_clients = false,
-            "--cache-dir" => cache_dir = Some(value("--cache-dir")),
             other => panic!(
                 "unknown argument `{other}` (try --addr HOST:PORT --workers N \
-                 --queue N --client-queue N --no-shed --cache-dir PATH)"
+                 --queue N --client-queue N --no-shed)"
             ),
         }
     }
@@ -49,21 +47,14 @@ fn main() {
     config.queue_depth = config.queue_depth.max(1);
     config.client_queue = config.client_queue.max(1);
 
-    let mut engine = Engine::new().with_resolver(benchsuite::build_mig);
-    if let Some(dir) = &cache_dir {
-        engine = engine.with_disk_cache(dir);
-    }
+    let engine = Engine::new().with_resolver(benchsuite::build_mig);
     let server = Server::start(Arc::new(engine), &addr, config).expect("bind the listen address");
     // The exact line CI's serve-smoke job (and any wrapper script)
     // waits for before pointing load at the daemon.
     println!("wavepipe-serve listening on {}", server.local_addr());
     println!(
-        "workers={} queue={} client_queue={} shed={} cache_dir={}",
-        config.workers,
-        config.queue_depth,
-        config.client_queue,
-        config.shed_slow_clients,
-        cache_dir.as_deref().unwrap_or("-"),
+        "workers={} queue={} client_queue={} shed={}",
+        config.workers, config.queue_depth, config.client_queue, config.shed_slow_clients,
     );
 
     server.wait_shutdown_requested();

@@ -216,78 +216,6 @@ pub struct WideRecord {
     pub grid: Vec<GridPoint>,
 }
 
-/// One seeded ECO edit of the `incremental` sweep: the edit applied,
-/// the wall time of the incremental re-run it triggered, and how much
-/// of the circuit was actually dirty.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct EditPoint {
-    /// Human-readable description of the edit.
-    pub edit: String,
-    /// Wall time of the incremental re-run after the edit, milliseconds.
-    pub wall_ms: f64,
-    /// Unique cones the re-run had to execute.
-    pub dirty_cones: u64,
-    /// Unique cones spliced from cache.
-    pub reused_cones: u64,
-    /// `dirty_cones / unique_cones` of the re-run.
-    pub dirty_fraction: f64,
-    /// Level bands whose subhash the edit changed.
-    pub dirty_bands: usize,
-}
-
-/// One point of the `incremental` sweep: a synthetic circuit at one
-/// target node count, run cold, warm (memory), warm (fresh process +
-/// disk) and through a seeded ECO edit sequence on the same engine.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct IncrementalPoint {
-    /// Canonical `synth:*` circuit name.
-    pub name: String,
-    /// Target node count of the sweep axis.
-    pub target_nodes: usize,
-    /// Gates actually generated.
-    pub gates: usize,
-    /// Primary outputs (= cones).
-    pub outputs: usize,
-    /// Distinct cone content hashes among them.
-    pub unique_cones: usize,
-    /// Wall time of the cold run (every cone executes), milliseconds.
-    pub cold_wall_ms: f64,
-    /// Wall time of the warm re-run on the same engine (one
-    /// spliced-scope lookup, zero passes), milliseconds.
-    pub warm_wall_ms: f64,
-    /// Wall time of a fresh engine re-serving the run from the disk
-    /// tier, milliseconds — `null` at sizes where the disk tier is not
-    /// exercised.
-    pub disk_wall_ms: Option<f64>,
-    /// Mean wall time of the post-edit incremental re-runs,
-    /// milliseconds.
-    pub edit_wall_ms: f64,
-    /// `cold_wall_ms / edit_wall_ms` — what cone-level caching buys an
-    /// ECO loop at this scale.
-    pub edit_speedup: f64,
-    /// Mean dirty-cone fraction across the edit sequence.
-    pub dirty_cone_fraction: f64,
-    /// Engine counter deltas of the cold run.
-    pub cold: EngineStats,
-    /// Engine counter deltas of the warm re-run.
-    pub warm: EngineStats,
-    /// The seeded edit sequence, in application order.
-    pub edits: Vec<EditPoint>,
-}
-
-/// The `BENCH_pr7.json` shape: incremental (ECO) engine latency —
-/// cold vs warm-memory vs warm-disk vs per-edit re-runs over the
-/// synthetic `dag` family.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct IncrementalRecord {
-    /// The pipeline swept (canonical pass names).
-    pub pipeline: Vec<String>,
-    /// One point per target node count, ascending.
-    pub points: Vec<IncrementalPoint>,
-    /// Cumulative engine counters over the whole sweep.
-    pub engine_totals: EngineStats,
-}
-
 /// Request-latency percentiles of one load phase, milliseconds
 /// (send-to-terminal-event, measured at the client).
 #[derive(Clone, Debug, serde::Serialize)]

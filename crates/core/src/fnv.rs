@@ -31,9 +31,8 @@ mod tests {
     }
 
     /// Pins the re-export to the reference FNV-1a/64 algorithm with the
-    /// published test vectors. Every persisted engine cache key depends
-    /// on these digests: if this test fails, the on-disk cache format
-    /// changed and [`crate::persist`]'s version must be bumped.
+    /// published test vectors: the engine's cache keys and the spec
+    /// content hashes are built from these digests.
     #[test]
     fn matches_reference_fnv1a_vectors() {
         assert_eq!(hash_bytes(b""), 0xcbf2_9ce4_8422_2325, "offset basis");

@@ -148,12 +148,10 @@ mod fanout_restriction;
 mod flow;
 mod fnv;
 mod from_mig;
-pub mod incremental;
 pub mod io;
 pub mod lint;
 mod netlist;
 mod optimize;
-pub mod persist;
 mod pipeline;
 mod retiming;
 pub mod spec;
@@ -175,7 +173,7 @@ pub use buffer_insertion::{
 };
 pub use component::{CompId, Component, ComponentKind};
 pub use cost::{CostModel, CostTable, PricedCost, PricedDelta};
-pub use engine::{CircuitResolver, Engine, EngineCell, EngineRun, EngineStats, DEFAULT_CACHE_DIR};
+pub use engine::{CircuitResolver, Engine, EngineCell, EngineRun, EngineStats};
 pub use error::FlowError;
 pub use fanout_restriction::{
     restrict_fanout, restrict_fanout_prepared, CostAwareFanoutPass, FanoutRestriction,
@@ -183,7 +181,6 @@ pub use fanout_restriction::{
 };
 pub use flow::{run_flow, run_flow_batch, FlowConfig, FlowResult};
 pub use from_mig::{netlist_from_mig, netlist_from_mig_min_inv, MapPass};
-pub use incremental::{EngineEdit, IncrementalError, IncrementalOutcome, IncrementalSession};
 pub use lint::{
     lint_mig, lint_netlist, lint_spec, Diagnostic, LintContext, LintDriver, LintFailure,
     LintReport, LintRule,

@@ -361,9 +361,8 @@ impl Netlist {
         (0..self.components.len()).map(CompId::from_index)
     }
 
-    /// Per-kind component counts, maintained incrementally on every add
-    /// (`O(1)` — every pass records counts in its trace, and the splice
-    /// stage of the incremental engine aggregates them per region).
+    /// Per-kind component counts, maintained on every add (`O(1)` —
+    /// every pass records counts in its trace).
     pub fn counts(&self) -> KindCounts {
         self.counts
     }
@@ -507,111 +506,6 @@ impl Netlist {
     /// Largest fan-out of any non-constant component.
     pub fn max_fanout(&self) -> u32 {
         self.fanout_counts().into_iter().max().unwrap_or(0)
-    }
-
-    /// Fan-out summary for region splicing: the largest fan-out among
-    /// non-input components, plus each primary input's fan-out (indexed
-    /// by input position, port uses included). A merged netlist's
-    /// [`Netlist::max_fanout`] is the max of the regions' internal
-    /// maxima and the per-name sums of their input fan-outs — shared
-    /// inputs concentrate fan-out, everything else is region-private —
-    /// so the splice composes cached summaries instead of scanning the
-    /// merged arena.
-    pub(crate) fn fanout_summary(&self) -> (u32, Vec<u32>) {
-        let counts = self.fanout_counts();
-        let mut internal = 0u32;
-        for (i, c) in self.components.iter().enumerate() {
-            if c.kind() != ComponentKind::Input {
-                internal = internal.max(counts[i]);
-            }
-        }
-        let inputs = self.inputs.iter().map(|id| counts[id.index()]).collect();
-        (internal, inputs)
-    }
-
-    /// Appends a region netlist onto this one for cone splicing: input
-    /// components map through `imap` (region input position → merged
-    /// component), constants deduplicate via [`Netlist::add_const`], and
-    /// every other component is appended in arena order with its fan-ins
-    /// remapped. Returns the merged id of the region's output driver.
-    ///
-    /// Regions without constant cells and with their inputs at the
-    /// arena head (every netlist the flow builds from a graph) take a
-    /// bulk-copy path: the gate block is one `extend_from_slice` and a
-    /// fan-in fix-up over the copied span — no remap table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `imap` is shorter than the region's input list or the
-    /// region has no outputs.
-    pub(crate) fn splice_region(&mut self, part: &Netlist, imap: &[CompId]) -> CompId {
-        let prefix = part.inputs.len();
-        let bulk = part.const_cells == [None, None]
-            && part
-                .inputs
-                .iter()
-                .enumerate()
-                .all(|(i, id)| id.index() == i);
-        if bulk {
-            let base = self.components.len();
-            // Every fan-in either hits the input prefix (→ `imap`) or a
-            // copied component, whose merged index is its region index
-            // shifted by the prefix removal and the append offset.
-            let translate = |f: CompId| {
-                if f.index() < prefix {
-                    imap[f.index()]
-                } else {
-                    CompId::from_index(f.index() - prefix + base)
-                }
-            };
-            let driver = translate(part.outputs[0].driver);
-            self.components
-                .extend_from_slice(&part.components[prefix..]);
-            for c in &mut self.components[base..] {
-                for f in c.fanins_mut() {
-                    *f = translate(*f);
-                }
-            }
-            self.counts.maj += part.counts.maj;
-            self.counts.inv += part.counts.inv;
-            self.counts.buf += part.counts.buf;
-            self.counts.fog += part.counts.fog;
-            return driver;
-        }
-
-        // General path: resolve inputs and constants first (region
-        // fan-ins may point forward), then assign every gate its merged
-        // index before any is appended.
-        let mut remap = vec![CompId::from_index(0); part.components.len()];
-        for (i, c) in part.components.iter().enumerate() {
-            match c {
-                Component::Input { position } => remap[i] = imap[*position as usize],
-                Component::Const { value } => remap[i] = self.add_const(*value),
-                _ => {}
-            }
-        }
-        let mut next = self.components.len();
-        for (i, c) in part.components.iter().enumerate() {
-            if !matches!(c, Component::Input { .. } | Component::Const { .. }) {
-                remap[i] = CompId::from_index(next);
-                next += 1;
-            }
-        }
-        for (i, c) in part.components.iter().enumerate() {
-            let added = match c {
-                Component::Maj { fanins } => self.add_maj([
-                    remap[fanins[0].index()],
-                    remap[fanins[1].index()],
-                    remap[fanins[2].index()],
-                ]),
-                Component::Inv { fanin } => self.add_inv(remap[fanin.index()]),
-                Component::Buf { fanin } => self.add_buf(remap[fanin.index()]),
-                Component::Fog { fanin } => self.add_fog(remap[fanin.index()]),
-                Component::Input { .. } | Component::Const { .. } => continue,
-            };
-            debug_assert_eq!(added, remap[i]);
-        }
-        remap[part.outputs[0].driver.index()]
     }
 
     /// Returns a copy containing only components reachable from the

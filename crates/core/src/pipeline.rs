@@ -351,6 +351,33 @@ impl PipelineRun {
     }
 }
 
+/// The counterexample of a rewrite-boundary gate failure: the rewritten
+/// MIG diverges from the source under `pattern`. Both graphs are
+/// re-simulated on that one pattern; the checker reports the first
+/// diverging output, which is therefore the first output whose bits
+/// differ here.
+fn rewrite_counterexample(
+    source: &Mig,
+    rewritten: &Mig,
+    output_name: String,
+    pattern: Vec<bool>,
+    pass: String,
+) -> crate::verify::differential::Counterexample {
+    let expected = mig::Simulator::new(source).eval(&pattern);
+    let actual = mig::Simulator::new(rewritten).eval(&pattern);
+    let output = (0..expected.len())
+        .find(|&i| expected[i] != actual[i])
+        .expect("the checker's pattern distinguishes the graphs");
+    crate::verify::differential::Counterexample {
+        expected: expected[output],
+        actual: actual[output],
+        pattern,
+        output,
+        output_name,
+        pass: Some(pass),
+    }
+}
+
 /// Why a pipeline could not be built.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PipelineError {
@@ -576,11 +603,13 @@ impl FlowPipeline {
                     {
                         Ok(verdict) if verdict.holds() => {}
                         Ok(mig::Equivalence::NotEqual { output, pattern }) => {
-                            return Err(PassError::Custom(format!(
-                                "equivalence gate after `{}`: rewritten MIG diverges from the \
-                                 source graph on output `{output}` under pattern {pattern:?}",
-                                pass.name()
-                            )));
+                            return Err(PassError::Equivalence(Box::new(rewrite_counterexample(
+                                ctx.graph,
+                                ctx.working_graph(),
+                                output,
+                                pattern,
+                                pass.name(),
+                            ))));
                         }
                         Ok(_) => unreachable!("holds() covers Equal and ProbablyEqual"),
                         Err(e) => {
@@ -1522,6 +1551,56 @@ mod tests {
                 assert_eq!(cex.output, 0);
                 assert_ne!(cex.expected, cex.actual);
                 assert_eq!(cex.pattern.len(), 8, "one bit per primary input");
+            }
+            other => panic!("expected an equivalence failure, got {other}"),
+        }
+    }
+
+    #[test]
+    fn rewrite_gate_failures_carry_a_counterexample_naming_the_pass() {
+        fn adder(complement_carry: bool) -> Mig {
+            let mut g = Mig::with_name("fa");
+            let a = g.add_input("a");
+            let b = g.add_input("b");
+            let cin = g.add_input("cin");
+            let (sum, cout) = g.add_full_adder(a, b, cin);
+            g.add_output("sum", sum);
+            g.add_output("cout", if complement_carry { !cout } else { cout });
+            g
+        }
+        // An unsound rewrite: hands the mapper an adder whose carry is
+        // complemented.
+        struct UnsoundRewritePass;
+        impl Pass for UnsoundRewritePass {
+            fn name(&self) -> String {
+                "unsound_rewrite".to_owned()
+            }
+            fn kind(&self) -> PassKind {
+                PassKind::Rewrite
+            }
+            fn run(&self, ctx: &mut FlowContext<'_>) -> Result<(), PassError> {
+                ctx.set_rewritten(adder(true));
+                Ok(())
+            }
+        }
+
+        let err = FlowPipeline::builder()
+            .pass(Box::new(UnsoundRewritePass))
+            .map(false)
+            .gate_equivalence(mig::EquivalencePolicy::default())
+            .build()
+            .unwrap()
+            .run(&adder(false))
+            .unwrap_err();
+        match err {
+            PassError::Equivalence(cex) => {
+                assert_eq!(cex.pass.as_deref(), Some("unsound_rewrite"));
+                assert_eq!((cex.output, cex.output_name.as_str()), (1, "cout"));
+                assert_eq!(cex.pattern.len(), 3, "one bit per primary input");
+                assert_ne!(cex.expected, cex.actual);
+                // The pattern replays: the source's carry is `expected`.
+                let bits = mig::Simulator::new(&adder(false)).eval(&cex.pattern);
+                assert_eq!(bits[1], cex.expected);
             }
             other => panic!("expected an equivalence failure, got {other}"),
         }

@@ -572,17 +572,13 @@ impl CircuitSpec {
 }
 
 /// Engine cache configuration a spec can carry — how a declarative
-/// experiment opts into a bounded LRU or the persistent disk tier
-/// without code. `None` fields keep the engine defaults; the
-/// `WAVEPIPE_CACHE_CAPACITY` / `WAVEPIPE_CACHE_DIR` environment knobs
-/// override both (see [`crate::Engine::for_spec`]).
+/// experiment opts into a bounded LRU without code. `None` keeps the
+/// engine default; the `WAVEPIPE_CACHE_CAPACITY` environment knob
+/// overrides both (see [`crate::Engine::for_spec`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheSpec {
-    /// In-memory LRU entry bound; `Some(0)` disables caching.
+    /// LRU entry bound; `Some(0)` disables caching.
     pub capacity: Option<usize>,
-    /// Disk-cache root; the literal `default` means the engine's
-    /// `results/cache/` default root.
-    pub dir: Option<String>,
 }
 
 /// A complete, serializable experiment description: pipeline ×
@@ -718,9 +714,8 @@ impl FlowSpec {
 }
 
 /// Feeds a serialized value tree into a hasher, with discriminant tags
-/// so differently-shaped values never collide structurally (also the
-/// disk cache's payload-checksum primitive — see `crate::persist`).
-pub(crate) fn hash_value(value: &Value, h: &mut Fnv) {
+/// so differently-shaped values never collide structurally.
+fn hash_value(value: &Value, h: &mut Fnv) {
     match value {
         Value::Null => h.write(b"n"),
         Value::Bool(b) => {
@@ -1036,9 +1031,6 @@ impl Serialize for CacheSpec {
         if let Some(capacity) = self.capacity {
             entries.push(("capacity", (capacity as u64).to_value()));
         }
-        if let Some(dir) = &self.dir {
-            entries.push(("dir", dir.to_value()));
-        }
         object(entries)
     }
 }
@@ -1052,11 +1044,7 @@ impl Deserialize for CacheSpec {
             Ok(Value::Null) | Err(_) => None,
             Ok(v) => Some(Deserialize::from_value(v)?),
         };
-        let dir = match serde::field(entries, "dir") {
-            Ok(Value::Null) | Err(_) => None,
-            Ok(v) => Some(Deserialize::from_value(v)?),
-        };
-        Ok(CacheSpec { capacity, dir })
+        Ok(CacheSpec { capacity })
     }
 }
 
@@ -1175,10 +1163,7 @@ mod tests {
         let plain = full_spec();
         // A spec without a cache block serializes without the key …
         assert!(!plain.to_json().contains("\"cache\""));
-        let cached = plain.clone().with_cache(CacheSpec {
-            capacity: Some(64),
-            dir: Some("default".to_owned()),
-        });
+        let cached = plain.clone().with_cache(CacheSpec { capacity: Some(64) });
         // … so pre-existing specs keep their identity …
         assert_eq!(
             plain.content_hash(),
@@ -1190,18 +1175,9 @@ mod tests {
         // … and a configured block round-trips field-for-field.
         let back = FlowSpec::from_json(&cached.to_json()).unwrap();
         assert_eq!(cached, back);
-        assert_eq!(
-            back.cache,
-            Some(CacheSpec {
-                capacity: Some(64),
-                dir: Some("default".to_owned()),
-            })
-        );
-        // Partial blocks keep unset fields unset.
-        let partial = plain.with_cache(CacheSpec {
-            capacity: None,
-            dir: Some("/tmp/x".to_owned()),
-        });
+        assert_eq!(back.cache, Some(CacheSpec { capacity: Some(64) }));
+        // An empty block keeps the unset field unset.
+        let partial = plain.with_cache(CacheSpec { capacity: None });
         let back = FlowSpec::from_json(&partial.to_json()).unwrap();
         assert_eq!(back.cache.as_ref().unwrap().capacity, None);
     }

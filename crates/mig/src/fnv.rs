@@ -9,7 +9,7 @@
 //!   [`Signal`]s (12 bytes), for which SipHash's per-lookup setup cost
 //!   dominates — on a 10⁶-gate synthetic build the table is queried
 //!   once per gate, so the hasher is on the construction hot path.
-//! * [`Fnv64`] is the incremental content hasher (explicit
+//! * [`Fnv64`] is the streaming content hasher (explicit
 //!   `write_u64` / `write_f64` feeds) that `wavepipe`'s result cache
 //!   keys are built from. Unlike `std`'s randomized default hasher its
 //!   digests are stable across processes and runs, which is what lets
@@ -52,7 +52,7 @@ impl Hasher for FnvHasher {
 /// Plugs [`FnvHasher`] into `HashMap::with_hasher` / `Default`.
 pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
-/// Incremental FNV-1a content hasher over explicit byte/word feeds.
+/// Streaming FNV-1a content hasher over explicit byte/word feeds.
 ///
 /// Not `std::hash`: digests must be stable across processes and runs
 /// (cached results are compared against golden re-runs), and the
@@ -122,7 +122,8 @@ mod tests {
     }
 
     /// The published FNV-1a/64 reference vectors — both faces must
-    /// produce them bit-for-bit (downstream crates persist digests).
+    /// produce them bit-for-bit (downstream crates key caches and
+    /// content hashes on these digests).
     #[test]
     fn matches_reference_fnv1a_vectors() {
         assert_eq!(hash_bytes(b""), 0xcbf2_9ce4_8422_2325, "offset basis");

@@ -233,26 +233,6 @@ impl Mig {
         &self.outputs
     }
 
-    /// Replaces the signal of output `position`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position >= self.output_count()`.
-    pub fn set_output_signal(&mut self, position: usize, signal: Signal) {
-        self.outputs[position].signal = signal;
-    }
-
-    /// Removes and returns output `position`; later outputs shift down
-    /// one position (`Vec::remove` semantics). The driving cone stays in
-    /// the arena — [`Mig::cleanup`] reclaims it if nothing else uses it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position >= self.output_count()`.
-    pub fn remove_output(&mut self, position: usize) -> Output {
-        self.outputs.remove(position)
-    }
-
     /// Stable structural content hash: graph name, arena length, every
     /// node (kind, input position, fan-in signals with complement bits),
     /// input names and output bindings — everything a flow over this

@@ -39,8 +39,6 @@
 //!   bit-parallel simulation, exhaustive tables and equivalence checks.
 //! * [`analysis`] — path/base-distance analysis (the paper's §III
 //!   definitions) and fan-out histograms.
-//! * [`cone`] — per-output cone content hashing, level-band diffing and
-//!   cone extraction (the incremental engine's dirty-region unit).
 //! * [`rewrite`] — Ω-axiom rewriting: [`optimize_depth`],
 //!   [`optimize_size`].
 //! * [`io`] — `.mig` text format, DOT and Verilog export.
@@ -53,7 +51,6 @@
 
 pub mod analysis;
 mod builder;
-pub mod cone;
 mod equivalence;
 pub mod fnv;
 mod graph;
@@ -68,7 +65,6 @@ mod truth_table;
 pub use analysis::{
     BaseDistance, ConeAnalysis, FanoutHistogram, GraphStats, PathAnalysis, Support,
 };
-pub use cone::{extract_cone, Cone, ConePartition, DEFAULT_BAND_WIDTH};
 pub use equivalence::{
     check_equivalence, check_equivalence_seeded, check_equivalence_with_policy,
     check_word_functions, check_word_functions_sharded, CheckError, Equivalence, EquivalencePolicy,

@@ -160,10 +160,6 @@ pub(crate) fn stats_to_value(stats: &EngineStats) -> Value {
         ("cache_hits", Value::UInt(stats.cache_hits)),
         ("cache_misses", Value::UInt(stats.cache_misses)),
         ("passes_executed", Value::UInt(stats.passes_executed)),
-        ("cones_reused", Value::UInt(stats.cones_reused)),
-        ("cones_recomputed", Value::UInt(stats.cones_recomputed)),
-        ("disk_hits", Value::UInt(stats.disk_hits)),
-        ("disk_misses", Value::UInt(stats.disk_misses)),
         ("evictions", Value::UInt(stats.evictions)),
     ])
 }
@@ -179,10 +175,6 @@ pub(crate) fn stats_from_value(value: &Value) -> Result<EngineStats, DeError> {
         cache_hits: counter("cache_hits")?,
         cache_misses: counter("cache_misses")?,
         passes_executed: counter("passes_executed")?,
-        cones_reused: counter("cones_reused")?,
-        cones_recomputed: counter("cones_recomputed")?,
-        disk_hits: counter("disk_hits")?,
-        disk_misses: counter("disk_misses")?,
         evictions: counter("evictions")?,
     })
 }

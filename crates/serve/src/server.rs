@@ -23,7 +23,7 @@
 //! [`ServeMetrics`].
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,6 +40,12 @@ use crate::protocol::{cell_event, done_event, Control, Event, Request, ServeMetr
 /// How long the writer thread may block on one socket write before it
 /// declares the client dead and disconnects it.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Longest request line the reader accepts, in bytes (newline not
+/// counted): 64 MiB, twice a 10⁶-gate inline MIG. A longer line gets an
+/// `error` event and the connection closes, so one client cannot make
+/// the daemon buffer without bound.
+const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// Daemon tuning knobs. Every field has a `WAVEPIPE_SERVE_*`
 /// environment override — see [`ServeConfig::from_env`].
@@ -347,13 +353,33 @@ impl Shared {
             let _ = out.flush();
         });
 
-        let reader = BufReader::new(&stream);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
+        let mut reader = BufReader::new(&stream);
+        loop {
+            let mut buf = Vec::new();
+            let bound = MAX_LINE_BYTES as u64 + 1;
+            match (&mut reader).take(bound).read_until(b'\n', &mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+            if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+                sender.send_critical(
+                    Event::Error {
+                        id: 0,
+                        message: format!(
+                            "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+                        ),
+                    }
+                    .to_line(),
+                );
+                break;
+            }
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                break;
+            };
             if line.trim().is_empty() {
                 continue;
             }
-            match Request::parse(&line) {
+            match Request::parse(line) {
                 Err(e) => sender.send_critical(
                     Event::Error {
                         id: 0,
@@ -696,5 +722,95 @@ mod tests {
             "every run either executed or coalesced"
         );
         assert!(metrics.executed >= 1);
+    }
+
+    /// A raw connection for lines no [`Client`] would send. Reads time
+    /// out, so a daemon that never answers fails the test instead of
+    /// hanging it.
+    fn raw_connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("read timeout");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    }
+
+    /// The next event line, or `None` on EOF.
+    fn next_event(reader: &mut BufReader<TcpStream>) -> Option<Event> {
+        let mut line = String::new();
+        match reader.read_line(&mut line).expect("read event") {
+            0 => None,
+            _ => Some(Event::parse(&line).expect("protocol event")),
+        }
+    }
+
+    /// Runs the tiny spec on `stream` and asserts it completes.
+    fn assert_serves(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, id: u64) {
+        let run = Request::Run {
+            id,
+            spec: tiny_spec("after"),
+        };
+        writeln!(stream, "{}", run.to_line()).expect("send run");
+        loop {
+            match next_event(reader).expect("events before EOF") {
+                Event::Cell { .. } => {}
+                Event::Done {
+                    id: done, failed, ..
+                } => {
+                    assert_eq!((done, failed), (id, 0));
+                    return;
+                }
+                other => panic!("expected the run's events, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn deeply_nested_lines_are_errors_and_the_daemon_keeps_serving() {
+        // Parsed by a recursive descent without a depth bound, this line
+        // overflowed the reader thread's stack and aborted the process.
+        let line = "[".repeat(200_000);
+        assert!(Request::parse(&line).is_err());
+        assert!(FlowSpec::from_json(&line).is_err());
+
+        let server = start_server();
+        let (mut stream, mut reader) = raw_connect(server.local_addr());
+        writeln!(stream, "{line}").expect("send deep line");
+        match next_event(&mut reader) {
+            Some(Event::Error { id: 0, message }) => {
+                assert!(message.contains("nesting"), "{message}");
+            }
+            other => panic!("expected an error event, got {other:?}"),
+        }
+        assert_serves(&mut stream, &mut reader, 5);
+        assert_eq!(server.shutdown().completed, 1);
+    }
+
+    #[test]
+    fn over_long_lines_get_an_error_and_close_the_connection() {
+        let server = start_server();
+        let (mut stream, mut reader) = raw_connect(server.local_addr());
+        // One byte past the bound, no newline: the reader consumes all
+        // of it, so the close is a clean EOF rather than a reset.
+        let chunk = vec![b' '; 1 << 20];
+        let mut left = MAX_LINE_BYTES + 1;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            stream.write_all(&chunk[..n]).expect("send over-long line");
+            left -= n;
+        }
+        match next_event(&mut reader) {
+            Some(Event::Error { id: 0, message }) => {
+                assert!(message.contains("exceeds"), "{message}");
+            }
+            other => panic!("expected an error event, got {other:?}"),
+        }
+        assert!(next_event(&mut reader).is_none(), "connection closed");
+
+        // Other connections are unaffected.
+        let (mut stream, mut reader) = raw_connect(server.local_addr());
+        assert_serves(&mut stream, &mut reader, 6);
+        assert_eq!(server.shutdown().completed, 1);
     }
 }

@@ -113,8 +113,9 @@ fn main() {
     //    experiment is a declarative FlowSpec (pipeline + technologies
     //    + circuit names), every (circuit, technology) cell is one task
     //    on the work-pulling scheduler, and the engine's content-hash
-    //    keyed cache makes repeated or overlapping sweeps incremental
-    //    (see examples/engine_spec.rs for the cache at work).
+    //    keyed cache recomputes only the changed cells of repeated or
+    //    overlapping sweeps (see examples/engine_spec.rs for the cache
+    //    at work).
     let engine = Engine::new().with_resolver(benchsuite::build_mig);
     let mut spec = FlowSpec::new("pass-pipeline-grid");
     for name in ["SASC", "ADD32R", "ALU16", "CMP32"] {

@@ -261,20 +261,3 @@ fn served_cells_satisfy_the_bound_cold_and_warm() {
         check("served cell", cell.run().expect("cell verifies"), k);
     }
 }
-
-#[test]
-fn incremental_session_results_satisfy_the_bound_cold_and_warm() {
-    let pipeline = PipelineSpec::for_config(FlowConfig::default());
-    let engine = Engine::new();
-    for g in graphs() {
-        let mut session = engine.incremental(g, pipeline.clone());
-        for pass in ["cold", "warm"] {
-            let outcome = session.run().expect("incremental run");
-            check(
-                &format!("IncrementalSession::run ({pass})"),
-                &outcome.run,
-                limit(&pipeline),
-            );
-        }
-    }
-}
