@@ -2,7 +2,7 @@
 //! (buffer insertion and fan-out restriction) and the end-to-end flow.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wavepipe::{insert_buffers, netlist_from_mig, restrict_fanout, run_flow, FlowConfig};
+use wavepipe::{insert_buffers, netlist_from_mig, restrict_fanout, FlowConfig, FlowPipeline};
 
 fn benchmark_mig(name: &str) -> mig::Mig {
     benchsuite::find(name)
@@ -50,7 +50,11 @@ fn bench_full_flow(c: &mut Criterion) {
     for name in ["SASC", "MUL16", "CRC8x64"] {
         let g = benchmark_mig(name);
         group.bench_with_input(BenchmarkId::from_parameter(name), &g, |b, g| {
-            b.iter(|| run_flow(g, FlowConfig::default()).expect("flow verifies"))
+            b.iter(|| {
+                FlowPipeline::for_config(FlowConfig::default())
+                    .run_with_model(g, None)
+                    .expect("flow verifies")
+            })
         });
     }
     group.finish();

@@ -5,14 +5,17 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wavepipe::{run_flow, FlowConfig, WaveSimulator};
+use wavepipe::{FlowConfig, FlowPipeline, WaveSimulator};
 
 fn bench_wave_streaming(c: &mut Criterion) {
     let mut group = c.benchmark_group("wave_streaming");
     group.sample_size(10);
     for name in ["SASC", "MUL8", "ALU16"] {
         let g = benchsuite::find(name).expect("known benchmark").build();
-        let flow = run_flow(&g, FlowConfig::default()).expect("flow verifies");
+        let flow = FlowPipeline::for_config(FlowConfig::default())
+            .run_with_model(&g, None)
+            .expect("flow verifies")
+            .result;
         let mut rng = StdRng::seed_from_u64(99);
         let waves: Vec<Vec<bool>> = (0..50)
             .map(|_| (0..g.input_count()).map(|_| rng.gen()).collect())

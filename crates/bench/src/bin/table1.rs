@@ -1,6 +1,6 @@
 //! Regenerates Table I: technology cell and gate parameters, plus the
 //! absolute per-component pricing each technology's [`tech::CostModel`]
-//! hands the flow (the `CostTable` the grid driver sweeps).
+//! hands the flow (the `CostTable` the engine's grids sweep).
 
 use tech::{CostModel, Technology};
 use wavepipe::ComponentKind;

@@ -152,7 +152,7 @@ fn main() -> ExitCode {
             graph.clone()
         };
         let mut diagnostics = wavepipe::lint_mig(&linted);
-        match pipeline.run(&graph) {
+        match pipeline.run_with_model(&graph, None) {
             Ok(run) => {
                 diagnostics.extend(wavepipe::lint_netlist(
                     &run.result.pipelined,

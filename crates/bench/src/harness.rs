@@ -711,14 +711,17 @@ mod tests {
 
     #[test]
     fn parallel_suite_evaluation_matches_serial_flow() {
-        // The cached grid driver must be a pure parallelization:
-        // identical results to one-at-a-time `run_flow`.
+        // The cached engine grid must be a pure parallelization:
+        // identical results to one-at-a-time single-cell runs.
         let engine = engine();
         let suite = build_suite(Some(&["SASC", "ALU16"]));
         let evaluated = evaluate_suite(&engine, &suite);
         for ((spec, g), (name, comparisons)) in suite.iter().zip(&evaluated) {
             assert_eq!(spec.name, name);
-            let serial = wavepipe::run_flow(g, FlowConfig::default()).unwrap();
+            let serial = wavepipe::FlowPipeline::for_config(FlowConfig::default())
+                .run_with_model(g, None)
+                .unwrap()
+                .result;
             let technologies = Technology::all();
             for (t, c) in technologies.iter().zip(comparisons) {
                 assert_eq!(compare(&serial, t), *c);

@@ -154,65 +154,104 @@ pub fn verify_balance_prepared(
     levels: &[u32],
     fanout_counts: &[u32],
 ) -> Result<BalanceReport, BalanceError> {
-    let is_const = |id: CompId| netlist.component(id).kind() == ComponentKind::Const;
-
-    // 1. Unit-span edges.
-    for id in netlist.ids() {
-        for &f in netlist.component(id).fanins() {
-            if is_const(f) {
-                continue;
-            }
-            let from_level = levels[f.index()];
-            let to_level = levels[id.index()];
-            if to_level != from_level + 1 {
-                return Err(BalanceError::EdgeSpan {
-                    from: f,
-                    to: id,
-                    from_level,
-                    to_level,
-                });
-            }
-        }
+    let mut violations = edge_span_violations(netlist, levels)
+        .chain(output_misalignments(netlist, levels))
+        .chain(
+            fanout_limit
+                .into_iter()
+                .flat_map(|limit| fanout_excess(netlist, fanout_counts, limit)),
+        );
+    if let Some(violation) = violations.next() {
+        return Err(violation);
     }
-
-    // 2. Aligned outputs.
-    let mut first: Option<(&str, u32)> = None;
-    for p in netlist.outputs() {
-        if is_const(p.driver) {
-            continue;
-        }
-        let level = levels[p.driver.index()];
-        match first {
-            None => first = Some((&p.name, level)),
-            Some((fname, flevel)) if flevel != level => {
-                return Err(BalanceError::OutputMisaligned {
-                    first: fname.to_owned(),
-                    first_level: flevel,
-                    other: p.name.clone(),
-                    other_level: level,
-                });
-            }
-            Some(_) => {}
-        }
-    }
-
-    // 3. Fan-out bound.
-    let max_fanout = fanout_counts.iter().copied().max().unwrap_or(0);
-    if let Some(limit) = fanout_limit {
-        check_fanout_bound(netlist, fanout_counts, limit)?;
-    }
-
-    let depth = first.map(|(_, l)| l).unwrap_or(0);
+    let depth = netlist
+        .outputs()
+        .iter()
+        .find(|p| !is_const(netlist, p.driver))
+        .map_or(0, |p| levels[p.driver.index()]);
     Ok(BalanceReport {
         depth,
         waves_in_flight: depth.div_ceil(3),
-        max_fanout,
+        max_fanout: fanout_counts.iter().copied().max().unwrap_or(0),
     })
 }
 
-/// Enforces the §IV fan-out bound against precomputed fan-out counts
-/// (the one shared implementation behind the plain, bound-only and
-/// cost-aware verifiers).
+fn is_const(netlist: &Netlist, id: CompId) -> bool {
+    netlist.component(id).kind() == ComponentKind::Const
+}
+
+/// Invariant 1: every fan-in edge from a non-constant driver that does
+/// not span exactly one level, in component order. Lint rule `WP001`
+/// reports the same walk.
+pub(crate) fn edge_span_violations<'a>(
+    netlist: &'a Netlist,
+    levels: &'a [u32],
+) -> impl Iterator<Item = BalanceError> + 'a {
+    netlist.ids().flat_map(move |to| {
+        netlist
+            .component(to)
+            .fanins()
+            .iter()
+            .filter(move |&&from| !is_const(netlist, from))
+            .filter_map(move |&from| {
+                let (from_level, to_level) = (levels[from.index()], levels[to.index()]);
+                (to_level != from_level + 1).then_some(BalanceError::EdgeSpan {
+                    from,
+                    to,
+                    from_level,
+                    to_level,
+                })
+            })
+    })
+}
+
+/// Invariant 2: every non-constant output whose level differs from the
+/// first non-constant output's, in output order. Lint rule `WP002`
+/// reports the same walk.
+pub(crate) fn output_misalignments<'a>(
+    netlist: &'a Netlist,
+    levels: &'a [u32],
+) -> impl Iterator<Item = BalanceError> + 'a {
+    let mut outputs = netlist
+        .outputs()
+        .iter()
+        .filter(move |p| !is_const(netlist, p.driver))
+        .map(move |p| (p.name.as_str(), levels[p.driver.index()]));
+    let first = outputs.next();
+    first
+        .map(move |(first, first_level)| {
+            outputs.filter(move |&(_, level)| level != first_level).map(
+                move |(other, other_level)| BalanceError::OutputMisaligned {
+                    first: first.to_owned(),
+                    first_level,
+                    other: other.to_owned(),
+                    other_level,
+                },
+            )
+        })
+        .into_iter()
+        .flatten()
+}
+
+/// Invariant 3: every component driving more than `limit` consumers,
+/// in component order — the one walk behind the plain, bound-only and
+/// cost-aware verifiers and lint rule `WP003`.
+pub(crate) fn fanout_excess<'a>(
+    netlist: &'a Netlist,
+    fanout_counts: &'a [u32],
+    limit: u32,
+) -> impl Iterator<Item = BalanceError> + 'a {
+    netlist.ids().filter_map(move |component| {
+        let fanout = fanout_counts[component.index()];
+        (fanout > limit).then_some(BalanceError::FanoutExceeded {
+            component,
+            fanout,
+            limit,
+        })
+    })
+}
+
+/// Enforces the §IV fan-out bound against precomputed fan-out counts.
 ///
 /// # Errors
 ///
@@ -223,16 +262,9 @@ pub(crate) fn check_fanout_bound(
     fanout_counts: &[u32],
     limit: u32,
 ) -> Result<(), BalanceError> {
-    for id in netlist.ids() {
-        if fanout_counts[id.index()] > limit {
-            return Err(BalanceError::FanoutExceeded {
-                component: id,
-                fanout: fanout_counts[id.index()],
-                limit,
-            });
-        }
-    }
-    Ok(())
+    fanout_excess(netlist, fanout_counts, limit)
+        .next()
+        .map_or(Ok(()), Err)
 }
 
 /// Pipeline pass wrapping [`verify_balance`]: checks structural

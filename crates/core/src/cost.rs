@@ -95,10 +95,11 @@ pub trait CostModel: Sync + Send {
 }
 
 /// A [`CostModel`] precomputed into flat per-kind arrays — the form the
-/// pipeline threads through its context and `run_grid` fans out over.
+/// pipeline threads through its context and the engine's grids fan out
+/// over.
 ///
 /// Cheap to clone (one `String` plus a few `f64`s) and `Send + Sync`,
-/// so one table can be shared across the parallel batch/grid drivers.
+/// so one table can be shared across a grid's parallel cells.
 ///
 /// Serializes unconditionally (hand-rolled, not feature-gated): a table
 /// is the technology component of a [`crate::FlowSpec`], which must

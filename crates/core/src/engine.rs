@@ -6,10 +6,10 @@
 //! [`FlowSpec`] into an ordering-checked [`FlowPipeline`], resolves its
 //! circuit selection (registry names via a pluggable resolver, inline
 //! netlists via the `mig` text parser), and sweeps the circuit ×
-//! technology grid on the work-pulling parallel scheduler — exactly
-//! like [`FlowPipeline::run_grid`], except every cell first consults a
-//! cache keyed by `(circuit content hash, pipeline content hash,
-//! technology content hash)`. Repeated and *overlapping* sweeps only
+//! technology grid on the work-pulling parallel scheduler, one
+//! [`FlowPipeline::run_with_model`] call per cell — except every cell
+//! first consults a cache keyed by `(circuit content hash, pipeline
+//! content hash, technology content hash)`. Repeated and *overlapping* sweeps only
 //! recompute changed cells: re-running the same spec is pure cache
 //! hits, editing one technology re-prices only that column, adding a
 //! circuit computes only its row.
@@ -234,8 +234,7 @@ impl Cache {
 pub struct Engine {
     resolver: Option<Box<CircuitResolver>>,
     cache: Mutex<Cache>,
-    /// `Some(0)` disables caching entirely (no hashing, no lookups) —
-    /// the mode the thin `run_flow` / `run_grid` wrappers use.
+    /// `Some(0)` disables caching entirely (no hashing, no lookups).
     capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -308,8 +307,7 @@ impl Engine {
     }
 
     /// An engine that never caches (and never hashes) — every cell
-    /// executes. This is what the legacy `run_flow` / `run_grid`
-    /// wrappers run on, so they stay exactly as cheap as before.
+    /// executes.
     pub fn uncached() -> Engine {
         Engine {
             capacity: Some(0),
@@ -464,7 +462,7 @@ impl Engine {
         let tally = RunTally::default();
         let cells = self.grid_cells(
             &pipeline,
-            Some(spec.pipeline.content_hash()),
+            spec.pipeline.content_hash(),
             &graphs,
             &spec.technologies,
             Some(&tally),
@@ -509,7 +507,7 @@ impl Engine {
         let built = pipeline.build()?;
         Ok(self.grid_cells(
             &built,
-            Some(pipeline.content_hash()),
+            pipeline.content_hash(),
             graphs,
             models,
             None,
@@ -517,37 +515,19 @@ impl Engine {
         ))
     }
 
-    /// Runs one pipeline spec on one graph (one cached cell).
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::Spec`] / [`FlowError::Pipeline`] for an invalid
-    /// pipeline spec, [`FlowError::Pass`] when the run itself fails.
-    pub fn run_graph(
-        &self,
-        graph: &Mig,
-        pipeline: &PipelineSpec,
-        model: Option<&CostTable>,
-    ) -> Result<Arc<PipelineRun>, FlowError> {
-        let models: Vec<CostTable> = model.cloned().into_iter().collect();
-        let mut cells = self.run_pipeline_grid(pipeline, &[graph], &models)?;
-        let cell = cells.pop().expect("one graph yields one cell");
-        cell.outcome.map_err(FlowError::Pass)
-    }
-
     /// Grid execution over an already-built pipeline. `pipe_hash` is
-    /// the pipeline's stable identity; without one (or with caching
-    /// disabled) every cell executes.
-    pub(crate) fn grid_cells(
+    /// the pipeline's stable identity; with caching disabled every cell
+    /// executes.
+    fn grid_cells(
         &self,
         pipeline: &FlowPipeline,
-        pipe_hash: Option<u64>,
+        pipe_hash: u64,
         graphs: &[&Mig],
         models: &[CostTable],
         tally: Option<&RunTally>,
         sink: &(dyn Fn(&EngineCell) + Sync),
     ) -> Vec<EngineCell> {
-        let caching = self.capacity != Some(0) && pipe_hash.is_some();
+        let caching = self.capacity != Some(0);
         // One content hash per circuit, computed once per sweep — a
         // direct arena walk, no intermediate serialization.
         let circuit_hashes: Vec<u64> = if caching {
@@ -570,7 +550,7 @@ impl Engine {
             .map(|&(circuit, technology)| {
                 let key = caching.then(|| CacheKey {
                     circuit: circuit_hashes[circuit],
-                    pipeline: pipe_hash.expect("caching implies a pipeline hash"),
+                    pipeline: pipe_hash,
                     technology: technology.map_or(COST_BLIND, |m| tech_hashes[m]),
                 });
                 if let Some(run) = key.and_then(|key| self.lookup(&key, tally)) {

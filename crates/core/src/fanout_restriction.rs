@@ -292,7 +292,7 @@ impl crate::pipeline::Pass for CostAwareFanoutPass {
         let table = ctx.cost_model().cloned().ok_or_else(|| {
             crate::pipeline::PassError::Custom(
                 "cost-aware fan-out restriction needs a cost model \
-                 (FlowPipelineBuilder::with_cost_model or the grid driver)"
+                 (the model argument of FlowPipeline::run_with_model, or a FlowSpec technology)"
                     .to_owned(),
             )
         })?;

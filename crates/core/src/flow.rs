@@ -7,20 +7,15 @@
 //! changes path lengths (Fig 8's observation (a): the combined flow
 //! inserts more buffers than either pass alone).
 //!
-//! Since the pass-pipeline refactor, [`run_flow`] is a thin
-//! compatibility wrapper: it assembles the default
-//! [`crate::FlowPipeline`] for the given [`FlowConfig`] and converts
-//! the instrumented [`crate::PipelineRun`] back into the legacy
-//! [`FlowResult`] shape. [`run_flow_batch`] evaluates whole suites in
-//! parallel.
+//! A [`FlowConfig`] names one point of Fig 8's configuration space;
+//! [`crate::FlowPipeline::for_config`] compiles it into the pass
+//! pipeline, and every run's [`crate::PipelineRun::result`] is the
+//! [`FlowResult`] defined here.
 
-use mig::Mig;
-
-use crate::balance::{BalanceError, BalanceReport};
+use crate::balance::BalanceReport;
 use crate::buffer_insertion::BufferInsertion;
 use crate::fanout_restriction::FanoutRestriction;
 use crate::netlist::{KindCounts, Netlist};
-use crate::pipeline::{PassError, PipelineRun};
 
 /// Configuration of the enablement flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,121 +80,12 @@ impl FlowResult {
     }
 }
 
-/// Runs the configured flow on `graph`.
-///
-/// # Errors
-///
-/// Returns a [`BalanceError`] if the resulting netlist fails
-/// verification — which would indicate a bug in the transforms, not bad
-/// input; the error is surfaced rather than panicking so harnesses can
-/// report it.
-///
-/// # Examples
-///
-/// ```
-/// use mig::Mig;
-/// use wavepipe::{run_flow, FlowConfig};
-///
-/// # fn main() -> Result<(), wavepipe::BalanceError> {
-/// let mut g = Mig::new();
-/// let a = g.add_input("a");
-/// let b = g.add_input("b");
-/// let cin = g.add_input("cin");
-/// let (s, c) = g.add_full_adder(a, b, cin);
-/// g.add_output("s", s);
-/// g.add_output("c", c);
-///
-/// let result = run_flow(&g, FlowConfig::default())?;
-/// assert!(result.size_ratio() >= 1.0);
-/// assert_eq!(result.report.unwrap().depth, result.pipelined.depth());
-/// # Ok(())
-/// # }
-/// ```
-pub fn run_flow(graph: &Mig, config: FlowConfig) -> Result<FlowResult, BalanceError> {
-    // Deprecated-style thin wrapper: one uncached engine cell. Kept
-    // bit-identical to the pipeline path (the golden tests pin it);
-    // prefer [`crate::Engine::run`] with a [`crate::FlowSpec`] to get
-    // caching and the full error surface.
-    let engine = crate::engine::Engine::uncached();
-    let outcome = engine
-        .run_graph(graph, &crate::spec::PipelineSpec::for_config(config), None)
-        .map(|run| {
-            drop(engine); // release the engine's interest so the Arc unwraps
-            std::sync::Arc::try_unwrap(run).unwrap_or_else(|shared| (*shared).clone())
-        })
-        .map_err(|e| match e {
-            crate::error::FlowError::Pass(e) => e,
-            other => unreachable!("config specs always validate: {other}"),
-        });
-    into_legacy(outcome)
-}
-
-/// Runs the configured flow over many graphs concurrently (one task per
-/// graph, scheduled across all cores by the pipeline's parallel batch
-/// driver), preserving input order.
-///
-/// Each graph gets its own `Result`, so one failing circuit does not
-/// poison a suite run.
-///
-/// # Examples
-///
-/// ```
-/// use mig::Mig;
-/// use wavepipe::{run_flow_batch, FlowConfig};
-///
-/// let graphs: Vec<Mig> = (0..4)
-///     .map(|seed| {
-///         mig::random_mig(mig::RandomMigConfig {
-///             inputs: 6,
-///             outputs: 3,
-///             gates: 60,
-///             depth: 6,
-///             seed,
-///         })
-///     })
-///     .collect();
-/// let refs: Vec<&Mig> = graphs.iter().collect();
-/// let results = run_flow_batch(&refs, FlowConfig::default());
-/// assert_eq!(results.len(), 4);
-/// assert!(results.iter().all(|r| r.is_ok()));
-/// ```
-pub fn run_flow_batch(
-    graphs: &[&Mig],
-    config: FlowConfig,
-) -> Vec<Result<FlowResult, BalanceError>> {
-    // Thin wrapper over an uncached engine's cost-blind grid (one cell
-    // per graph on the work-pulling scheduler), bit-identical to the
-    // old per-graph batch driver.
-    let engine = crate::engine::Engine::uncached();
-    let cells = engine
-        .run_pipeline_grid(&crate::spec::PipelineSpec::for_config(config), graphs, &[])
-        .unwrap_or_else(|e| unreachable!("config specs always validate: {e}"));
-    drop(engine);
-    cells
-        .into_iter()
-        .map(|cell| {
-            into_legacy(cell.outcome.map(|run| {
-                std::sync::Arc::try_unwrap(run).unwrap_or_else(|shared| (*shared).clone())
-            }))
-        })
-        .collect()
-}
-
-/// Converts a pipeline outcome back into the legacy `run_flow` shape.
-fn into_legacy(outcome: Result<PipelineRun, PassError>) -> Result<FlowResult, BalanceError> {
-    match outcome {
-        Ok(run) => Ok(run.result),
-        Err(PassError::Balance(e)) => Err(e),
-        Err(other) => {
-            unreachable!("config-assembled pipelines only produce balance errors: {other}")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::FlowPipeline;
     use crate::wavesim::WaveSimulator;
+    use mig::Mig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -213,10 +99,17 @@ mod tests {
         })
     }
 
+    fn run_config(graph: &Mig, config: FlowConfig) -> FlowResult {
+        FlowPipeline::for_config(config)
+            .run_with_model(graph, None)
+            .expect("flow verifies")
+            .result
+    }
+
     #[test]
     fn default_flow_produces_wave_ready_netlist() {
         let g = sample_mig(1);
-        let r = run_flow(&g, FlowConfig::default()).unwrap();
+        let r = run_config(&g, FlowConfig::default());
         assert!(r.report.is_some());
         assert!(r.pipelined.max_fanout() <= 3);
         assert!(r.size_ratio() > 1.0);
@@ -227,7 +120,7 @@ mod tests {
     #[test]
     fn flow_preserves_function_end_to_end() {
         let g = sample_mig(2);
-        let r = run_flow(&g, FlowConfig::default()).unwrap();
+        let r = run_config(&g, FlowConfig::default());
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..64 {
             let bits: Vec<bool> = (0..12).map(|_| rng.gen()).collect();
@@ -238,7 +131,7 @@ mod tests {
     #[test]
     fn flow_result_streams_waves() {
         let g = sample_mig(4);
-        let r = run_flow(&g, FlowConfig::default()).unwrap();
+        let r = run_config(&g, FlowConfig::default());
         let mut rng = StdRng::seed_from_u64(5);
         let waves: Vec<Vec<bool>> = (0..25)
             .map(|_| (0..12).map(|_| rng.gen()).collect())
@@ -250,15 +143,14 @@ mod tests {
     #[test]
     fn buf_only_configuration() {
         let g = sample_mig(6);
-        let r = run_flow(
+        let r = run_config(
             &g,
             FlowConfig {
                 fanout_limit: None,
                 insert_buffers: true,
                 ..FlowConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert!(r.fanout.is_none());
         assert!(r.report.is_some());
     }
@@ -266,15 +158,14 @@ mod tests {
     #[test]
     fn fo_only_configuration() {
         let g = sample_mig(7);
-        let r = run_flow(
+        let r = run_config(
             &g,
             FlowConfig {
                 fanout_limit: Some(4),
                 insert_buffers: false,
                 ..FlowConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert!(r.report.is_none());
         assert!(r.pipelined.max_fanout() <= 4);
         assert!(r.buffers.is_none());
@@ -287,16 +178,15 @@ mod tests {
         let mut more = 0usize;
         for seed in 10..16 {
             let g = sample_mig(seed);
-            let buf_only = run_flow(
+            let buf_only = run_config(
                 &g,
                 FlowConfig {
                     fanout_limit: None,
                     insert_buffers: true,
                     ..FlowConfig::default()
                 },
-            )
-            .unwrap();
-            let combined = run_flow(&g, FlowConfig::default()).unwrap();
+            );
+            let combined = run_config(&g, FlowConfig::default());
             if combined.buffers.unwrap().total() >= buf_only.buffers.unwrap().total() {
                 more += 1;
             }
@@ -312,16 +202,15 @@ mod tests {
         // Fig 8 observation (b).
         for seed in 20..24 {
             let g = sample_mig(seed);
-            let fo_only = run_flow(
+            let fo_only = run_config(
                 &g,
                 FlowConfig {
                     fanout_limit: Some(3),
                     insert_buffers: false,
                     ..FlowConfig::default()
                 },
-            )
-            .unwrap();
-            let combined = run_flow(&g, FlowConfig::default()).unwrap();
+            );
+            let combined = run_config(&g, FlowConfig::default());
             assert_eq!(
                 fo_only.pipelined_counts().fog,
                 combined.pipelined_counts().fog

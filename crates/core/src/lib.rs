@@ -50,20 +50,15 @@
 //!
 //! Technology pricing is a pipeline layer, not a post-processing step:
 //! a [`CostModel`] (see [`cost`]) prices every [`ComponentKind`], and a
-//! pipeline carrying one (via
-//! [`FlowPipelineBuilder::with_cost_model`], or per cell through the
-//! grid driver) records priced area / energy / cycle-time deltas in
-//! every [`PassStats`] and unlocks cost-aware pass variants:
+//! run given one (the model argument of
+//! [`FlowPipeline::run_with_model`], or a [`FlowSpec`] technology)
+//! records priced area / energy / cycle-time deltas in every
+//! [`PassStats`] and unlocks cost-aware pass variants:
 //! [`FlowPipelineBuilder::restrict_fanout_cost_aware`] picks the FOG
 //! limit by the model's prices, and [`BufferStrategy::CostAware`]
 //! balances with the phase-occupancy slack the model implies. Without a
 //! model everything runs cost-blind and bit-identical to the paper's
 //! reference flow.
-//!
-//! [`FlowPipeline::run_grid`] evaluates the full circuit × technology
-//! grid — every `(graph, cost model)` cell one task on the work-pulling
-//! parallel scheduler — and [`run_config_grid`] sweeps the other axis
-//! (pipeline configuration × circuit, Fig 8's ladder).
 //!
 //! ```
 //! use mig::Mig;
@@ -85,25 +80,30 @@
 //!     .verify(Some(3))
 //!     .build()
 //!     .expect("well-ordered pipeline");
-//! let run = pipeline.run(&g)?;
+//! let run = pipeline.run_with_model(&g, None)?;
 //! assert!(run.result.report.is_some());
 //! assert_eq!(run.trace.len(), 4); // one instrumented record per pass
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! ## Compatibility wrapper and batch driver
+//! ## Two ways to run a flow
 //!
-//! [`run_flow`] assembles the default pipeline for a [`FlowConfig`] and
-//! returns the classic [`FlowResult`]; [`run_flow_batch`] (and
-//! [`FlowPipeline::run_batch`]) evaluate many graphs concurrently
-//! across all cores:
+//! One cell — one graph under one optional cost model — is
+//! [`FlowPipeline::run_with_model`]; [`FlowPipeline::for_config`]
+//! assembles the paper's pipeline for a [`FlowConfig`], and the run's
+//! [`PipelineRun::result`] is the [`FlowResult`]. A grid of cells
+//! (circuits × technologies) runs on a long-lived [`Engine`]:
+//! [`Engine::run_streaming`] (or its no-sink shorthand [`Engine::run`])
+//! for a [`FlowSpec`], [`Engine::run_pipeline_grid`] for graphs already
+//! built in memory. Both schedule the cells across all cores and cache
+//! them by content hash.
 //!
 //! ```
 //! use mig::Mig;
-//! use wavepipe::{run_flow, FlowConfig, WaveSimulator};
+//! use wavepipe::{FlowConfig, FlowPipeline, WaveSimulator};
 //!
-//! # fn main() -> Result<(), wavepipe::BalanceError> {
+//! # fn main() -> Result<(), wavepipe::PassError> {
 //! let mut g = Mig::new();
 //! let a = g.add_input("a");
 //! let b = g.add_input("b");
@@ -112,7 +112,9 @@
 //! g.add_output("sum", sum);
 //! g.add_output("cout", cout);
 //!
-//! let result = run_flow(&g, FlowConfig::default())?;
+//! let result = FlowPipeline::for_config(FlowConfig::default())
+//!     .run_with_model(&g, None)?
+//!     .result;
 //! let report = result.report.expect("flow verifies its output");
 //!
 //! // Stream three additions through the pipeline.
@@ -179,7 +181,7 @@ pub use fanout_restriction::{
     restrict_fanout, restrict_fanout_prepared, CostAwareFanoutPass, FanoutRestriction,
     FanoutRestrictionPass,
 };
-pub use flow::{run_flow, run_flow_batch, FlowConfig, FlowResult};
+pub use flow::{FlowConfig, FlowResult};
 pub use from_mig::{netlist_from_mig, netlist_from_mig_min_inv, MapPass};
 pub use lint::{
     lint_mig, lint_netlist, lint_spec, Diagnostic, LintContext, LintDriver, LintFailure,
@@ -188,8 +190,8 @@ pub use lint::{
 pub use netlist::{FanoutEdges, KindCounts, Netlist, NetlistError, Port, StructuralCaches};
 pub use optimize::{OptimizeCostAwarePass, OptimizeDepthPass, OptimizeSizePass};
 pub use pipeline::{
-    run_config_grid, BufferStrategy, FlowContext, FlowPipeline, FlowPipelineBuilder, GridCell,
-    Pass, PassError, PassKind, PassStats, PipelineError, PipelineRun,
+    BufferStrategy, FlowContext, FlowPipeline, FlowPipelineBuilder, Pass, PassError, PassKind,
+    PassStats, PipelineError, PipelineRun,
 };
 pub use retiming::{insert_buffers_retimed, schedule_levels, LevelSchedule, RetimedInsertionPass};
 pub use spec::{CacheSpec, CircuitSpec, FlowSpec, PassSpec, PipelineSpec, SpecError, SynthSpec};

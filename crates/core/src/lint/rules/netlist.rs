@@ -2,6 +2,7 @@
 //! wave-pipelining conditions, proven statically from one DP over the
 //! cached topological order — no simulation.
 
+use crate::balance::{self, BalanceError};
 use crate::component::ComponentKind;
 use crate::lint::rules::capped;
 use crate::lint::{Category, Diagnostic, LintContext, LintRule, Severity};
@@ -44,29 +45,12 @@ impl LintRule for PathBalance {
         let Some(levels) = ctx.levels() else {
             return Vec::new();
         };
-        let mut found = Vec::new();
-        for id in netlist.ids() {
-            let component = netlist.component(id);
-            for &fanin in component.fanins() {
-                if netlist.component(fanin).kind() == ComponentKind::Const {
-                    continue; // constants are wave-invariant (§III)
-                }
-                let from = levels[fanin.index()];
-                let to = levels[id.index()];
-                if to != from + 1 {
-                    found.push(self.diagnostic(
-                        ctx,
-                        format!(
-                            "fan-in edge {fanin} (level {from}) → {id} (level {to}) spans \
-                             {} levels; waves of different ages would collide",
-                            to as i64 - from as i64
-                        ),
-                        Some(id.to_string()),
-                    ));
-                }
-            }
-        }
-        capped(found)
+        findings(
+            self,
+            ctx,
+            netlist,
+            balance::edge_span_violations(netlist, &levels),
+        )
     }
 }
 
@@ -102,30 +86,12 @@ impl LintRule for OutputAlignment {
         let Some(levels) = ctx.levels() else {
             return Vec::new();
         };
-        let mut reference: Option<(&str, u32)> = None;
-        let mut found = Vec::new();
-        for port in netlist.outputs() {
-            if netlist.component(port.driver).kind() == ComponentKind::Const {
-                continue;
-            }
-            let level = levels[port.driver.index()];
-            match reference {
-                None => reference = Some((&port.name, level)),
-                Some((first, first_level)) if level != first_level => {
-                    found.push(self.diagnostic(
-                        ctx,
-                        format!(
-                            "output `{}` emerges at level {level} but `{first}` at level \
-                             {first_level}; the wave front is torn",
-                            port.name
-                        ),
-                        Some(port.name.clone()),
-                    ));
-                }
-                Some(_) => {}
-            }
-        }
-        capped(found)
+        findings(
+            self,
+            ctx,
+            netlist,
+            balance::output_misalignments(netlist, &levels),
+        )
     }
 }
 
@@ -161,22 +127,67 @@ impl LintRule for FanoutLimit {
         let Some(counts) = ctx.fanout_counts() else {
             return Vec::new();
         };
-        let mut found = Vec::new();
-        for id in netlist.ids() {
-            let fanout = counts[id.index()];
-            if fanout > limit {
-                found.push(self.diagnostic(
-                    ctx,
-                    format!(
-                        "{id} ({}) drives {fanout} consumers, over the limit {limit}",
-                        netlist.component(id).kind()
-                    ),
-                    Some(id.to_string()),
-                ));
-            }
-        }
-        capped(found)
+        findings(
+            self,
+            ctx,
+            netlist,
+            balance::fanout_excess(netlist, &counts, limit),
+        )
     }
+}
+
+/// Maps the violations one [`crate::verify_balance`] walker yields into
+/// a rule's capped diagnostics, worded for a reader of lint output.
+fn findings(
+    rule: &dyn LintRule,
+    ctx: &LintContext<'_>,
+    netlist: &Netlist,
+    violations: impl Iterator<Item = BalanceError>,
+) -> Vec<Diagnostic> {
+    let found = violations
+        .map(|violation| {
+            let (message, provenance) = match violation {
+                BalanceError::EdgeSpan {
+                    from,
+                    to,
+                    from_level,
+                    to_level,
+                } => (
+                    format!(
+                        "fan-in edge {from} (level {from_level}) → {to} (level {to_level}) spans \
+                         {} levels; waves of different ages would collide",
+                        to_level as i64 - from_level as i64
+                    ),
+                    to.to_string(),
+                ),
+                BalanceError::OutputMisaligned {
+                    first,
+                    first_level,
+                    other,
+                    other_level,
+                } => (
+                    format!(
+                        "output `{other}` emerges at level {other_level} but `{first}` at level \
+                         {first_level}; the wave front is torn"
+                    ),
+                    other,
+                ),
+                BalanceError::FanoutExceeded {
+                    component,
+                    fanout,
+                    limit,
+                } => (
+                    format!(
+                        "{component} ({}) drives {fanout} consumers, over the limit {limit}",
+                        netlist.component(component).kind()
+                    ),
+                    component.to_string(),
+                ),
+            };
+            rule.diagnostic(ctx, message, Some(provenance))
+        })
+        .collect();
+    capped(found)
 }
 
 /// `WP004` — no combinational cycles.

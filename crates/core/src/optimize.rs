@@ -125,7 +125,7 @@ impl Pass for OptimizeCostAwarePass {
         let Some(table) = ctx.cost_model().cloned() else {
             return Err(PassError::Custom(
                 "optimize_cost_aware requires a cost model on the run \
-                 (FlowPipelineBuilder::with_cost_model or a grid sweep)"
+                 (the model argument of FlowPipeline::run_with_model, or a FlowSpec technology)"
                     .to_owned(),
             ));
         };
@@ -227,7 +227,7 @@ mod tests {
             .verify(Some(3))
             .build()
             .unwrap();
-        let run = pipeline.run(&g).unwrap();
+        let run = pipeline.run_with_model(&g, None).unwrap();
         // The rewrite trace entry measures the MIG, pre- vs post-rewrite.
         let stats = &run.trace[0];
         assert_eq!(stats.pass, "optimize_depth");
@@ -250,7 +250,7 @@ mod tests {
             .verify(Some(3))
             .build()
             .unwrap();
-        let run = pipeline.run(&g).unwrap();
+        let run = pipeline.run_with_model(&g, None).unwrap();
         let stats = &run.trace[0];
         assert_eq!(stats.pass, "optimize_size");
         assert_eq!(stats.counts_before.maj, 3);
@@ -262,7 +262,6 @@ mod tests {
     fn rewrite_trace_is_priced_under_a_cost_model() {
         let g = skewed_chain(16);
         let pipeline = FlowPipeline::builder()
-            .with_cost_model(&FlatModel)
             .optimize_depth(16)
             .map(false)
             .restrict_fanout(3)
@@ -270,7 +269,9 @@ mod tests {
             .verify(Some(3))
             .build()
             .unwrap();
-        let run = pipeline.run(&g).unwrap();
+        let run = pipeline
+            .run_with_model(&g, Some(&crate::CostTable::from_model(&FlatModel)))
+            .unwrap();
         let priced = run.trace[0].priced.as_ref().expect("priced rewrite entry");
         assert!(
             priced.after.latency < priced.before.latency,
@@ -286,7 +287,7 @@ mod tests {
             .map(false)
             .build()
             .unwrap();
-        let err = pipeline.run(&g).unwrap_err();
+        let err = pipeline.run_with_model(&g, None).unwrap_err();
         assert!(
             err.to_string().contains("requires a cost model"),
             "got: {err}"
@@ -297,12 +298,13 @@ mod tests {
     fn cost_aware_pass_picks_an_objective() {
         let g = skewed_chain(16);
         let pipeline = FlowPipeline::builder()
-            .with_cost_model(&FlatModel)
             .optimize_cost_aware(16)
             .map(false)
             .build()
             .unwrap();
-        let run = pipeline.run(&g).unwrap();
+        let run = pipeline
+            .run_with_model(&g, Some(&crate::CostTable::from_model(&FlatModel)))
+            .unwrap();
         let stats = &run.trace[0];
         assert_eq!(stats.pass, "optimize_cost_aware");
         // On a skewed chain the depth objective wins: the size objective
@@ -346,7 +348,9 @@ mod tests {
             .gate_lints()
             .build()
             .unwrap();
-        let run = pipeline.run(&g).expect("gated rewritten flow succeeds");
+        let run = pipeline
+            .run_with_model(&g, None)
+            .expect("gated rewritten flow succeeds");
         assert_eq!(run.trace.len(), 6);
     }
 }

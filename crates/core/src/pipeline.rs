@@ -18,22 +18,20 @@
 //! time, returning a [`PipelineError`] instead of producing a pipeline
 //! that would compute garbage.
 //!
-//! [`crate::run_flow`] remains as a thin compatibility wrapper that
-//! assembles the default pipeline for a [`crate::FlowConfig`], and
-//! [`crate::run_flow_batch`] evaluates many graphs concurrently.
+//! [`FlowPipeline::run_with_model`] runs one cell (one graph under one
+//! optional cost model); [`crate::Engine`] runs cached grids of cells.
 
 use std::fmt;
 use std::time::Instant;
 
 use mig::Mig;
-use rayon::prelude::*;
 
 use std::sync::Arc;
 
 use crate::balance::{BalanceError, BalanceReport};
 use crate::buffer_insertion::BufferInsertion;
 use crate::component::CompId;
-use crate::cost::{CostModel, CostTable, PricedDelta};
+use crate::cost::{CostTable, PricedDelta};
 use crate::fanout_restriction::FanoutRestriction;
 use crate::flow::FlowResult;
 use crate::netlist::{FanoutEdges, KindCounts, Netlist, StructuralCaches};
@@ -197,10 +195,10 @@ impl<'g> FlowContext<'g> {
         &mut self.netlist
     }
 
-    /// The technology cost model this run prices against, if one was
-    /// configured ([`FlowPipelineBuilder::with_cost_model`] or the grid
-    /// driver). Cost-aware passes consult it; cost-blind passes ignore
-    /// it.
+    /// The technology cost model this run prices against, if the cell
+    /// was given one ([`FlowPipeline::run_with_model`]'s argument, or a
+    /// [`crate::FlowSpec`] technology). Cost-aware passes consult it;
+    /// cost-blind passes ignore it.
     pub fn cost_model(&self) -> Option<&CostTable> {
         self.cost.as_ref()
     }
@@ -330,10 +328,10 @@ impl fmt::Display for PassStats {
 /// Everything one pipeline execution produced.
 #[derive(Clone, Debug)]
 pub struct PipelineRun {
-    /// The flow result in the legacy [`FlowResult`] shape.
+    /// The flow result: both netlists and the per-stage statistics.
     pub result: FlowResult,
-    /// Weighted-insertion statistics, when a weighted pass ran (the
-    /// legacy result shape has no slot for them).
+    /// Weighted-insertion statistics, when a weighted pass ran
+    /// ([`FlowResult`] has no slot for them).
     pub weighted: Option<WeightedInsertion>,
     /// Per-pass instrumentation, in execution order.
     pub trace: Vec<PassStats>,
@@ -444,11 +442,9 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// An ordered, validated sequence of passes, optionally carrying a
-/// default technology cost model.
+/// An ordered, validated sequence of passes.
 pub struct FlowPipeline {
     passes: Vec<Box<dyn Pass>>,
-    cost: Option<CostTable>,
     equivalence: Option<mig::EquivalencePolicy>,
     lints: bool,
 }
@@ -460,7 +456,6 @@ impl fmt::Debug for FlowPipeline {
                 "passes",
                 &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
             )
-            .field("cost", &self.cost.as_ref().map(|t| t.name().to_owned()))
             .field("equivalence", &self.equivalence)
             .field("lints", &self.lints)
             .finish()
@@ -474,7 +469,7 @@ impl FlowPipeline {
     }
 
     /// Assembles the default pipeline for a [`crate::FlowConfig`] — the
-    /// exact pass sequence the legacy `run_flow` hardcoded, compiled
+    /// paper's map → restrict → insert → verify sequence, compiled
     /// from its declarative form
     /// ([`crate::PipelineSpec::for_config`]).
     pub fn for_config(config: crate::FlowConfig) -> FlowPipeline {
@@ -489,7 +484,9 @@ impl FlowPipeline {
     }
 
     /// Runs the pipeline on one graph, collecting per-pass
-    /// instrumentation.
+    /// instrumentation. `model` prices every pass's trace entry and is
+    /// what cost-aware passes consult; `None` runs cost-blind (no
+    /// priced trace entries).
     ///
     /// # Errors
     ///
@@ -497,18 +494,6 @@ impl FlowPipeline {
     /// if the mapping pass never installed a netlist (a custom pass
     /// with `kind() == PassKind::Map` must call
     /// [`FlowContext::set_mapped`]).
-    pub fn run(&self, graph: &Mig) -> Result<PipelineRun, PassError> {
-        self.run_with_model(graph, self.cost.as_ref())
-    }
-
-    /// [`FlowPipeline::run`] with an explicit cost model, overriding
-    /// the pipeline's default — the per-cell entry point of
-    /// [`FlowPipeline::run_grid`]. `None` runs cost-blind (no priced
-    /// trace entries).
-    ///
-    /// # Errors
-    ///
-    /// As [`FlowPipeline::run`].
     pub fn run_with_model(
         &self,
         graph: &Mig,
@@ -717,90 +702,6 @@ impl FlowPipeline {
             trace,
         })
     }
-
-    /// Runs the pipeline over many graphs in parallel (one task per
-    /// graph, scheduled across all cores), preserving input order.
-    pub fn run_batch(&self, graphs: &[&Mig]) -> Vec<Result<PipelineRun, PassError>> {
-        graphs.par_iter().map(|graph| self.run(graph)).collect()
-    }
-
-    /// Runs the full circuit × technology grid: every `(graph, model)`
-    /// cell is one task on the work-pulling parallel scheduler, so a
-    /// whole multi-technology sweep costs one driver call instead of a
-    /// hand-rolled per-technology loop.
-    ///
-    /// Every cell carries its model into the run, so priced trace
-    /// entries come back per (circuit, technology, pass) and cost-aware
-    /// passes may legitimately produce *different* netlists per
-    /// technology; with a cost-blind pipeline every cell of one circuit
-    /// row is structurally identical and only the pricing differs.
-    ///
-    /// Cells are returned circuit-major (`circuit * models.len() +
-    /// model`), matching the input orders. An empty `models` slice
-    /// yields an empty grid.
-    ///
-    /// Since the engine-facade redesign this is a thin wrapper over an
-    /// uncached [`crate::Engine`] — prefer a long-lived engine (and a
-    /// [`crate::FlowSpec`] or
-    /// [`crate::Engine::run_pipeline_grid`]) to get result caching
-    /// across overlapping sweeps; results are bit-identical either way.
-    pub fn run_grid(&self, graphs: &[&Mig], models: &[CostTable]) -> Vec<GridCell> {
-        if models.is_empty() {
-            return Vec::new();
-        }
-        crate::engine::Engine::uncached()
-            .grid_cells(self, None, graphs, models, None, &|_| {})
-            .into_iter()
-            .map(|cell| GridCell {
-                circuit: cell.circuit,
-                model: cell.technology.expect("non-empty models price every cell"),
-                outcome: cell
-                    .outcome
-                    .map(|run| Arc::try_unwrap(run).unwrap_or_else(|shared| (*shared).clone())),
-            })
-            .collect()
-    }
-}
-
-/// One cell of a [`FlowPipeline::run_grid`] sweep.
-#[derive(Clone, Debug)]
-pub struct GridCell {
-    /// Index into the `graphs` argument.
-    pub circuit: usize,
-    /// Index into the `models` argument.
-    pub model: usize,
-    /// The cell's pipeline run (or the first pass failure).
-    pub outcome: Result<PipelineRun, PassError>,
-}
-
-/// Runs a circuit grid over several *pipeline configurations* (the
-/// other sweep axis: Fig 8's BUF / FO2..5+BUF ladder). Every
-/// `(pipeline, graph)` cell is one task on the same work-pulling
-/// scheduler as [`FlowPipeline::run_grid`]; results come back
-/// pipeline-major (`result[p][g]`).
-///
-/// Legacy, engine-less driver: it accepts arbitrary (even custom-pass)
-/// pipelines, so it cannot be content-hash cached. Callers sweeping
-/// *declarative* configurations should run one
-/// [`crate::Engine::run_pipeline_grid`] per [`crate::PipelineSpec`]
-/// instead and get caching across overlapping sweeps (what the bench
-/// harness's Fig 8 driver does).
-pub fn run_config_grid(
-    pipelines: &[&FlowPipeline],
-    graphs: &[&Mig],
-) -> Vec<Vec<Result<PipelineRun, PassError>>> {
-    let cells: Vec<(usize, usize)> = (0..pipelines.len())
-        .flat_map(|p| (0..graphs.len()).map(move |g| (p, g)))
-        .collect();
-    let flat: Vec<Result<PipelineRun, PassError>> = cells
-        .par_iter()
-        .map(|&(p, g)| pipelines[p].run(graphs[g]))
-        .collect();
-    let mut flat = flat.into_iter();
-    pipelines
-        .iter()
-        .map(|_| flat.by_ref().take(graphs.len()).collect())
-        .collect()
 }
 
 /// Buffer-insertion strategy selector for [`FlowPipelineBuilder`].
@@ -851,7 +752,6 @@ pub enum BufferStrategy {
 #[derive(Default)]
 pub struct FlowPipelineBuilder {
     passes: Vec<Box<dyn Pass>>,
-    cost: Option<CostTable>,
     equivalence: Option<mig::EquivalencePolicy>,
     lints: bool,
 }
@@ -863,7 +763,6 @@ impl fmt::Debug for FlowPipelineBuilder {
                 "passes",
                 &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
             )
-            .field("cost", &self.cost.as_ref().map(|t| t.name().to_owned()))
             .field("equivalence", &self.equivalence)
             .field("lints", &self.lints)
             .finish()
@@ -896,15 +795,6 @@ impl FlowPipelineBuilder {
     /// [`FlowPipelineBuilder::gate_equivalence`].
     pub fn gate_lints(mut self) -> FlowPipelineBuilder {
         self.lints = true;
-        self
-    }
-    /// Attaches a technology cost model to the pipeline: every run
-    /// prices its per-pass trace against it, and cost-aware passes
-    /// ([`FlowPipelineBuilder::restrict_fanout_cost_aware`],
-    /// [`BufferStrategy::CostAware`]) consult it. Overridable per run
-    /// via [`FlowPipeline::run_with_model`] / the grid driver.
-    pub fn with_cost_model(mut self, model: &dyn CostModel) -> FlowPipelineBuilder {
-        self.cost = Some(CostTable::from_model(model));
         self
     }
 
@@ -1026,7 +916,6 @@ impl FlowPipelineBuilder {
         }
         Ok(FlowPipeline {
             passes: self.passes,
-            cost: self.cost,
             equivalence: self.equivalence,
             lints: self.lints,
         })
@@ -1095,22 +984,27 @@ mod tests {
     fn default_pipeline_matches_legacy_flow() {
         let g = sample_mig(1);
         let run = FlowPipeline::for_config(FlowConfig::default())
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap();
-        let legacy = crate::flow::run_flow(&g, FlowConfig::default()).unwrap();
-        assert_eq!(run.result.pipelined_counts(), legacy.pipelined_counts());
-        assert_eq!(run.result.original_counts(), legacy.original_counts());
-        assert_eq!(run.result.pipelined.depth(), legacy.pipelined.depth());
-        assert_eq!(run.result.report, legacy.report);
-        assert_eq!(run.result.fanout, legacy.fanout);
-        assert_eq!(run.result.buffers, legacy.buffers);
+        // The hand-composed 4-call flow the default pipeline encodes.
+        let original = crate::netlist_from_mig(&g);
+        let mut pipelined = original.clone();
+        let fanout = crate::restrict_fanout(&mut pipelined, 3);
+        let buffers = crate::insert_buffers(&mut pipelined);
+        let report = crate::verify_balance(&pipelined, Some(3)).unwrap();
+        assert_eq!(run.result.pipelined_counts(), pipelined.counts());
+        assert_eq!(run.result.original_counts(), original.counts());
+        assert_eq!(run.result.pipelined.depth(), pipelined.depth());
+        assert_eq!(run.result.report, Some(report));
+        assert_eq!(run.result.fanout, Some(fanout));
+        assert_eq!(run.result.buffers, Some(buffers));
     }
 
     #[test]
     fn trace_records_every_pass_in_order() {
         let g = sample_mig(2);
         let run = FlowPipeline::for_config(FlowConfig::default())
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap();
         let names: Vec<String> = run.trace.iter().map(|s| s.pass.clone()).collect();
         assert_eq!(
@@ -1203,7 +1097,7 @@ mod tests {
             .verify(Some(3))
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap();
         let retimed = FlowPipeline::builder()
             .map(false)
@@ -1212,7 +1106,7 @@ mod tests {
             .verify(Some(3))
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap();
         assert!(retimed.result.buffers.unwrap().total() <= asap.result.buffers.unwrap().total());
         assert_eq!(
@@ -1231,28 +1125,10 @@ mod tests {
             .verify_weighted(DelayWeights::QCA)
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap();
         assert!(run.weighted.unwrap().buffers > 0);
         assert!(run.result.buffers.is_none());
-    }
-
-    #[test]
-    fn batch_driver_matches_single_runs() {
-        let graphs: Vec<Mig> = (10..16).map(sample_mig).collect();
-        let refs: Vec<&Mig> = graphs.iter().collect();
-        let pipeline = FlowPipeline::for_config(FlowConfig::default());
-        let batch = pipeline.run_batch(&refs);
-        assert_eq!(batch.len(), graphs.len());
-        for (graph, outcome) in graphs.iter().zip(batch) {
-            let single = pipeline.run(graph).unwrap();
-            let parallel = outcome.unwrap();
-            assert_eq!(
-                single.result.pipelined_counts(),
-                parallel.result.pipelined_counts()
-            );
-            assert_eq!(single.result.report, parallel.result.report);
-        }
     }
 
     #[test]
@@ -1274,7 +1150,7 @@ mod tests {
             .pass(Box::new(ForgetfulMapPass))
             .build()
             .expect("kind tag satisfies the builder")
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap_err();
         assert!(matches!(err, PassError::Custom(_)), "{err}");
     }
@@ -1315,10 +1191,9 @@ mod tests {
             .restrict_fanout(3)
             .insert_buffers(BufferStrategy::Asap)
             .verify(Some(3))
-            .with_cost_model(&FlatModel)
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, Some(&CostTable::from_model(&FlatModel)))
             .unwrap();
         for stats in &run.trace {
             let priced = stats.priced.as_ref().expect("cost model configured");
@@ -1337,57 +1212,9 @@ mod tests {
         assert_eq!(run.trace[3].priced.as_ref().unwrap().area_delta(), 0.0);
         // Without a model the same pipeline records no priced entries.
         let blind = FlowPipeline::for_config(FlowConfig::default())
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap();
         assert!(blind.trace.iter().all(|s| s.priced.is_none()));
-    }
-
-    #[test]
-    fn grid_covers_every_cell_circuit_major_and_matches_single_runs() {
-        let graphs: Vec<Mig> = (30..33).map(sample_mig).collect();
-        let refs: Vec<&Mig> = graphs.iter().collect();
-        let table = crate::cost::CostTable::from_model(&FlatModel);
-        let models = vec![table.clone(), table];
-        let pipeline = FlowPipeline::for_config(FlowConfig::default());
-        let cells = pipeline.run_grid(&refs, &models);
-        assert_eq!(cells.len(), graphs.len() * models.len());
-        for (i, cell) in cells.iter().enumerate() {
-            assert_eq!(cell.circuit, i / models.len());
-            assert_eq!(cell.model, i % models.len());
-            let run = cell.outcome.as_ref().expect("grid cell verifies");
-            let single = pipeline.run(&graphs[cell.circuit]).unwrap();
-            assert_eq!(
-                run.result.pipelined_counts(),
-                single.result.pipelined_counts()
-            );
-            assert!(run.trace.iter().all(|s| s.priced.is_some()));
-        }
-        assert!(pipeline.run_grid(&refs, &[]).is_empty());
-    }
-
-    #[test]
-    fn config_grid_is_pipeline_major() {
-        let graphs: Vec<Mig> = (40..42).map(sample_mig).collect();
-        let refs: Vec<&Mig> = graphs.iter().collect();
-        let fo3 = FlowPipeline::for_config(FlowConfig::default());
-        let buf_only = FlowPipeline::builder()
-            .map(false)
-            .insert_buffers(BufferStrategy::Asap)
-            .build()
-            .unwrap();
-        let grid = run_config_grid(&[&fo3, &buf_only], &refs);
-        assert_eq!(grid.len(), 2);
-        for (pipeline, row) in [&fo3, &buf_only].iter().zip(&grid) {
-            assert_eq!(row.len(), graphs.len());
-            for (g, outcome) in refs.iter().zip(row) {
-                let single = pipeline.run(g).unwrap();
-                let gridded = outcome.as_ref().unwrap();
-                assert_eq!(
-                    single.result.pipelined_counts(),
-                    gridded.result.pipelined_counts()
-                );
-            }
-        }
     }
 
     #[test]
@@ -1400,7 +1227,7 @@ mod tests {
             .verify(None)
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap_err();
         assert!(matches!(err, PassError::Custom(_)), "{err}");
         let err = FlowPipeline::builder()
@@ -1409,7 +1236,7 @@ mod tests {
             .insert_buffers(BufferStrategy::CostAware)
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap_err();
         assert!(matches!(err, PassError::Custom(_)), "{err}");
     }
@@ -1424,10 +1251,9 @@ mod tests {
             .pass(Box::new(crate::fanout_restriction::CostAwareFanoutPass {
                 candidates: vec![1, 3],
             }))
-            .with_cost_model(&FlatModel)
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, Some(&CostTable::from_model(&FlatModel)))
             .unwrap_err();
         assert!(
             matches!(&err, PassError::Custom(m) if m.contains("below the physical minimum")),
@@ -1445,10 +1271,9 @@ mod tests {
             .restrict_fanout_cost_aware()
             .insert_buffers(BufferStrategy::CostAware)
             .verify_cost_aware(None)
-            .with_cost_model(&FlatModel)
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, Some(&CostTable::from_model(&FlatModel)))
             .unwrap();
         let fanout = run.result.fanout.expect("restriction ran");
         assert!((2..=5).contains(&fanout.limit));
@@ -1481,7 +1306,7 @@ mod tests {
             .pass(Box::new(CyclePass))
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap_err();
         assert!(
             matches!(
@@ -1523,7 +1348,7 @@ mod tests {
             .gate_equivalence(policy)
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap();
         assert!(run.result.report.is_some());
 
@@ -1533,7 +1358,7 @@ mod tests {
             .pass(Box::new(FlipOutputPass))
             .build()
             .unwrap()
-            .run(&g);
+            .run_with_model(&g, None);
         assert!(silent.is_ok(), "without the gate nothing catches this");
 
         // Gated, the counterexample names the pass.
@@ -1543,7 +1368,7 @@ mod tests {
             .gate_equivalence(policy)
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap_err();
         match err {
             PassError::Equivalence(cex) => {
@@ -1590,7 +1415,7 @@ mod tests {
             .gate_equivalence(mig::EquivalencePolicy::default())
             .build()
             .unwrap()
-            .run(&adder(false))
+            .run_with_model(&adder(false), None)
             .unwrap_err();
         match err {
             PassError::Equivalence(cex) => {
@@ -1628,7 +1453,7 @@ mod tests {
             .verify(Some(3))
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap();
         assert_eq!(run.trace[1].pass, "sweep");
         assert!(run.result.report.is_some());

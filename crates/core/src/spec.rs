@@ -252,8 +252,8 @@ impl PipelineSpec {
     }
 
     /// The declarative form of the default pipeline for a
-    /// [`FlowConfig`] — the exact pass sequence the legacy `run_flow`
-    /// hardcoded.
+    /// [`FlowConfig`] — the paper's map → restrict → insert → verify
+    /// sequence, with the stages the config switches off left out.
     pub fn for_config(config: FlowConfig) -> PipelineSpec {
         let mut spec = PipelineSpec::map(config.minimize_inverters);
         if let Some(limit) = config.fanout_limit {

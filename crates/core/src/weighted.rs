@@ -393,7 +393,7 @@ impl crate::pipeline::Pass for CostAwareInsertionPass {
         let table = ctx.cost_model().ok_or_else(|| {
             crate::pipeline::PassError::Custom(
                 "cost-aware buffer insertion needs a cost model \
-                 (FlowPipelineBuilder::with_cost_model or the grid driver)"
+                 (the model argument of FlowPipeline::run_with_model, or a FlowSpec technology)"
                     .to_owned(),
             )
         })?;
@@ -442,7 +442,7 @@ impl crate::pipeline::Pass for CostAwareVerifyPass {
         let table = ctx.cost_model().ok_or_else(|| {
             crate::pipeline::PassError::Custom(
                 "cost-aware verification needs a cost model \
-                 (FlowPipelineBuilder::with_cost_model or the grid driver)"
+                 (the model argument of FlowPipeline::run_with_model, or a FlowSpec technology)"
                     .to_owned(),
             )
         })?;

@@ -10,9 +10,9 @@
 //! ```
 //! use mig::Mig;
 //! use tech::{compare, Technology};
-//! use wavepipe::{run_flow, FlowConfig};
+//! use wavepipe::{FlowConfig, FlowPipeline};
 //!
-//! # fn main() -> Result<(), wavepipe::BalanceError> {
+//! # fn main() -> Result<(), wavepipe::PassError> {
 //! let mut g = Mig::new();
 //! let a = g.add_input("a");
 //! let b = g.add_input("b");
@@ -21,7 +21,9 @@
 //! g.add_output("s", s);
 //! g.add_output("c", c);
 //!
-//! let result = run_flow(&g, FlowConfig::default())?;
+//! let result = FlowPipeline::for_config(FlowConfig::default())
+//!     .run_with_model(&g, None)?
+//!     .result;
 //! for technology in Technology::all() {
 //!     let row = compare(&result, &technology);
 //!     // Wave pipelining never loses on raw throughput (it ties only

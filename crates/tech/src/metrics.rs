@@ -172,7 +172,14 @@ pub fn compare_with_table(result: &FlowResult, table: &CostTable) -> Comparison 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wavepipe::{run_flow, FlowConfig};
+    use wavepipe::{FlowConfig, FlowPipeline};
+
+    fn flow(g: &mig::Mig) -> wavepipe::FlowResult {
+        FlowPipeline::for_config(FlowConfig::default())
+            .run_with_model(g, None)
+            .unwrap()
+            .result
+    }
 
     fn flow_sample(seed: u64) -> wavepipe::FlowResult {
         let g = mig::random_mig(mig::RandomMigConfig {
@@ -182,7 +189,7 @@ mod tests {
             depth: 12,
             seed,
         });
-        run_flow(&g, FlowConfig::default()).unwrap()
+        flow(&g)
     }
 
     #[test]
@@ -283,7 +290,7 @@ mod tests {
                 depth: 6,
                 seed: 7,
             });
-            compare(&run_flow(&g, FlowConfig::default()).unwrap(), &t)
+            compare(&flow(&g), &t)
         };
         let deep = {
             let g = mig::random_mig(mig::RandomMigConfig {
@@ -293,7 +300,7 @@ mod tests {
                 depth: 30,
                 seed: 8,
             });
-            compare(&run_flow(&g, FlowConfig::default()).unwrap(), &t)
+            compare(&flow(&g), &t)
         };
         assert!(deep.tp_gain() > shallow.tp_gain());
     }

@@ -99,7 +99,7 @@ mod tests {
     use super::*;
     use crate::metrics::{compare, evaluate, OperatingMode};
     use crate::technology::Technology;
-    use wavepipe::{run_flow, FlowConfig};
+    use wavepipe::{FlowConfig, FlowPipeline};
 
     #[test]
     fn geometric_mean_of_ratios() {
@@ -123,7 +123,10 @@ mod tests {
             depth: 6,
             seed: 77,
         });
-        let r = run_flow(&g, FlowConfig::default()).unwrap();
+        let r = FlowPipeline::for_config(FlowConfig::default())
+            .run_with_model(&g, None)
+            .unwrap()
+            .result;
         let row = BenchmarkRow {
             benchmark: "RAND".to_owned(),
             comparison: compare(&r, &Technology::swd()),

@@ -4,7 +4,7 @@
 //! [`Technology`] is the canonical implementation of the flow's
 //! [`CostModel`] trait — [`Technology::cost_table`] precomputes it into
 //! the flat [`wavepipe::CostTable`] the pass pipeline threads through
-//! its context and `run_grid` fans out over.
+//! its context and the engine's grids fan out over.
 
 use wavepipe::{ComponentKind, CostModel, CostTable};
 
@@ -191,7 +191,7 @@ impl Technology {
     }
 
     /// Precomputes this technology into the flat [`CostTable`] the pass
-    /// pipeline and grid driver consume.
+    /// pipeline and the engine's grids consume.
     pub fn cost_table(&self) -> CostTable {
         CostTable::from_model(self)
     }

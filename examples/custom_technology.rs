@@ -15,7 +15,9 @@ use wave_pipelining::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let g = find_benchmark("HAMMING").expect("suite benchmark").build();
-    let result = run_flow(&g, FlowConfig::default())?;
+    let result = FlowPipeline::for_config(FlowConfig::default())
+        .run_with_model(&g, None)?
+        .result;
 
     println!("benchmark: {g}");
     println!(

@@ -7,7 +7,7 @@
 //! ```
 
 use wave_pipelining::prelude::*;
-use wavepipe::{BufferStrategy, DelayWeights, FlowPipeline};
+use wavepipe::{BufferStrategy, DelayWeights};
 
 fn main() {
     let g = find_benchmark("HAMMING").expect("suite benchmark").build();
@@ -16,7 +16,9 @@ fn main() {
     //    Every run records wall time, component delta and depth change
     //    per pass.
     let default_flow = FlowPipeline::for_config(FlowConfig::default());
-    let run = default_flow.run(&g).expect("flow verifies");
+    let run = default_flow
+        .run_with_model(&g, None)
+        .expect("flow verifies");
     println!("default flow on HAMMING:");
     print!("{}", run.trace_table());
     println!(
@@ -34,7 +36,7 @@ fn main() {
         .verify(Some(3))
         .build()
         .expect("well-ordered")
-        .run(&g)
+        .run_with_model(&g, None)
         .expect("flow verifies");
     println!(
         "retimed insertion saves {} of {} buffers",
@@ -50,7 +52,7 @@ fn main() {
         .verify_weighted(DelayWeights::QCA)
         .build()
         .expect("well-ordered")
-        .run(&g)
+        .run_with_model(&g, None)
         .expect("flow verifies");
     println!(
         "QCA-weighted balancing: {} buffers, weighted depth {}",
@@ -69,8 +71,9 @@ fn main() {
     println!("ill-ordered pipeline rejected: {err}");
 
     // 5. FOG-k sweep over a batch of circuits, in parallel: four
-    //    pipelines × N circuits, each suite run scheduled across all
-    //    cores by run_batch.
+    //    pipelines × N circuits, each sweep one engine grid whose cells
+    //    are scheduled across all cores (and cached by content hash).
+    let engine = Engine::new().with_resolver(benchsuite::build_mig);
     let graphs: Vec<mig::Mig> = ["SASC", "ADD32R", "ALU16", "CMP32"]
         .iter()
         .map(|name| find_benchmark(name).expect("suite benchmark").build())
@@ -78,33 +81,24 @@ fn main() {
     let refs: Vec<&mig::Mig> = graphs.iter().collect();
     println!("\nFOG-k sweep (4 circuits in parallel):");
     for k in 2..=5u32 {
-        let pipeline = FlowPipeline::builder()
-            .map(false)
+        let pipeline = PipelineSpec::map(false)
             .restrict_fanout(k)
             .insert_buffers(BufferStrategy::Asap)
-            .verify(Some(k))
-            .build()
-            .expect("well-ordered");
-        let ratios: Vec<f64> = pipeline
-            .run_batch(&refs)
-            .into_iter()
-            .map(|outcome| outcome.expect("flow verifies").result.size_ratio())
+            .verify(Some(k));
+        let ratios: Vec<f64> = engine
+            .run_pipeline_grid(&pipeline, &refs, &[])
+            .expect("well-ordered")
+            .iter()
+            .map(|cell| cell.run().expect("flow verifies").result.size_ratio())
             .collect();
         let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
         println!("  k={k}: mean size ratio {mean:.2}×");
     }
 
-    // 6. The cost-model layer: attach a technology and every pass is
-    //    priced (area / energy / cycle-time deltas in the trace).
-    let priced = FlowPipeline::builder()
-        .map(false)
-        .restrict_fanout(3)
-        .insert_buffers(BufferStrategy::Asap)
-        .verify(Some(3))
-        .with_cost_model(&Technology::qca())
-        .build()
-        .expect("well-ordered")
-        .run(&g)
+    // 6. The cost-model layer: run a cell under a technology and every
+    //    pass is priced (area / energy / cycle-time deltas in the trace).
+    let priced = default_flow
+        .run_with_model(&g, Some(&Technology::qca().cost_table()))
         .expect("flow verifies");
     println!("\npriced trace (QCA) on HAMMING:");
     print!("{}", priced.trace_table());
@@ -116,7 +110,6 @@ fn main() {
     //    keyed cache recomputes only the changed cells of repeated or
     //    overlapping sweeps (see examples/engine_spec.rs for the cache
     //    at work).
-    let engine = Engine::new().with_resolver(benchsuite::build_mig);
     let mut spec = FlowSpec::new("pass-pipeline-grid");
     for name in ["SASC", "ADD32R", "ALU16", "CMP32"] {
         spec = spec.circuit(name);

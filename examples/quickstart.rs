@@ -26,7 +26,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Run the paper's flow: fan-out restriction to 3, then buffer
     //    insertion (Algorithm 1). The result is verified automatically.
-    let result = run_flow(&g, FlowConfig::default())?;
+    let result = FlowPipeline::for_config(FlowConfig::default())
+        .run_with_model(&g, None)?
+        .result;
     let report = result.report.expect("flow verifies its output");
     println!("original netlist:   {}", result.original);
     println!("wave-pipelined:     {}", result.pipelined);

@@ -25,7 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("benchmark: {} — {}", spec.name, spec.description);
     println!("MIG: {g}\n");
 
-    let result = run_flow(&g, FlowConfig::default())?;
+    let result = FlowPipeline::for_config(FlowConfig::default())
+        .run_with_model(&g, None)?
+        .result;
     if let Some(fo) = result.fanout {
         println!(
             "fan-out restriction (k=3): {} FOGs inserted, {} components split, \

@@ -21,7 +21,7 @@
 //! ```
 //! use wave_pipelining::prelude::*;
 //!
-//! # fn main() -> Result<(), wavepipe::BalanceError> {
+//! # fn main() -> Result<(), wavepipe::PassError> {
 //! // 1. Build (or load) a MIG.
 //! let mut g = Mig::new();
 //! let a = g.add_input("a");
@@ -32,7 +32,9 @@
 //! g.add_output("cout", cout);
 //!
 //! // 2. Enable wave pipelining: fan-out restriction to 3 + balancing.
-//! let result = run_flow(&g, FlowConfig::default())?;
+//! let result = FlowPipeline::for_config(FlowConfig::default())
+//!     .run_with_model(&g, None)?
+//!     .result;
 //!
 //! // 3. Evaluate on a beyond-CMOS technology.
 //! let row = compare(&result, &Technology::swd());
@@ -57,7 +59,7 @@ pub mod prelude {
     pub use mig::{check_equivalence, optimize_depth, optimize_size, Mig, Signal};
     pub use tech::{compare, evaluate, CostModel, OperatingMode, Technology};
     pub use wavepipe::{
-        insert_buffers, netlist_from_mig, restrict_fanout, run_flow, verify_balance, Engine,
-        FlowConfig, FlowError, FlowSpec, Netlist, PipelineSpec, WaveSimulator,
+        insert_buffers, netlist_from_mig, restrict_fanout, verify_balance, Engine, FlowConfig,
+        FlowError, FlowPipeline, FlowSpec, Netlist, PipelineSpec, WaveSimulator,
     };
 }

@@ -7,6 +7,13 @@ use rand::{Rng, SeedableRng};
 use wave_pipelining::prelude::*;
 use wavepipe::WaveSimulator;
 
+/// The configured flow on one graph: one cost-blind cell.
+fn flow(g: &Mig, config: FlowConfig) -> Result<wavepipe::FlowResult, wavepipe::PassError> {
+    FlowPipeline::for_config(config)
+        .run_with_model(g, None)
+        .map(|run| run.result)
+}
+
 /// Benchmarks small enough to run the full pipeline + simulation in a
 /// debug-build test.
 const SMALL: [&str; 10] = [
@@ -24,7 +31,7 @@ fn random_patterns(inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
 fn flow_preserves_function_on_small_suite() {
     for name in SMALL {
         let g = find_benchmark(name).expect("suite benchmark").build();
-        let result = run_flow(&g, FlowConfig::default()).expect("flow verifies");
+        let result = flow(&g, FlowConfig::default()).expect("flow verifies");
         let sim = mig::Simulator::new(&g);
         for pattern in random_patterns(g.input_count(), 24, 0xE2E) {
             assert_eq!(
@@ -40,7 +47,7 @@ fn flow_preserves_function_on_small_suite() {
 fn flow_satisfies_all_invariants_on_small_suite() {
     for name in SMALL {
         let g = find_benchmark(name).expect("suite benchmark").build();
-        let result = run_flow(&g, FlowConfig::default()).expect("flow verifies");
+        let result = flow(&g, FlowConfig::default()).expect("flow verifies");
         let report =
             verify_balance(&result.pipelined, Some(3)).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(report.depth, result.pipelined.depth());
@@ -67,7 +74,7 @@ fn flow_satisfies_all_invariants_on_small_suite() {
 fn wave_streaming_is_coherent_on_small_suite() {
     for name in ["SASC", "MUL8", "ALU16", "DEC6", "MEDS32x8"] {
         let g = find_benchmark(name).expect("suite benchmark").build();
-        let result = run_flow(&g, FlowConfig::default()).expect("flow verifies");
+        let result = flow(&g, FlowConfig::default()).expect("flow verifies");
         let waves = random_patterns(g.input_count(), 20, 0x3A3E);
         let corrupted = WaveSimulator::new(&result.pipelined).check_against_golden(&waves);
         assert!(
@@ -84,7 +91,7 @@ fn optimization_then_flow_keeps_equivalence() {
     assert!(outcome.after <= outcome.before);
     assert!(check_equivalence(&g, &opt).expect("same interface").holds());
 
-    let result = run_flow(&opt, FlowConfig::default()).expect("flow verifies");
+    let result = flow(&opt, FlowConfig::default()).expect("flow verifies");
     let sim = mig::Simulator::new(&g);
     for pattern in random_patterns(g.input_count(), 32, 77) {
         assert_eq!(sim.eval(&pattern), result.pipelined.eval(&pattern));
@@ -95,7 +102,7 @@ fn optimization_then_flow_keeps_equivalence() {
 fn every_fanout_limit_works_end_to_end() {
     let g = find_benchmark("SASC").expect("suite benchmark").build();
     for limit in 2..=5u32 {
-        let result = run_flow(
+        let result = flow(
             &g,
             FlowConfig {
                 fanout_limit: Some(limit),
@@ -128,7 +135,7 @@ fn weighted_balancing_composes_with_fanout_restriction() {
 #[test]
 fn netlist_io_roundtrips_after_the_flow() {
     let g = find_benchmark("SASC").expect("suite benchmark").build();
-    let result = run_flow(&g, FlowConfig::default()).expect("flow verifies");
+    let result = flow(&g, FlowConfig::default()).expect("flow verifies");
     let text = wavepipe::io::write_netlist(&result.pipelined);
     let parsed = wavepipe::io::parse_netlist(&text).expect("own output parses");
     assert_eq!(parsed.counts(), result.pipelined.counts());

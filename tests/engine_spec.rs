@@ -1,13 +1,13 @@
 //! Acceptance tests for the engine-facade redesign: `FlowSpec` JSON
 //! round-trips, spec validation rejects malformed experiments, and
-//! `Engine`-driven runs are bit-identical to the legacy
-//! `run_flow`/`run_grid` paths — with a warm-cache re-run performing
-//! **zero pass executions** (pinned via the engine's `PassStats`-derived
+//! `Engine`-driven runs are bit-identical to single-cell
+//! `FlowPipeline::run_with_model` runs — with a warm-cache re-run
+//! performing **zero pass executions** (pinned via the engine's `PassStats`-derived
 //! counters) while returning identical results.
 
 use tech::Technology;
 use wave_pipelining::prelude::*;
-use wavepipe::{BufferStrategy, CostTable, FlowPipeline, PipelineError, SpecError};
+use wavepipe::{BufferStrategy, CostTable, PipelineError, PipelineRun, SpecError};
 use wavepipe_bench::harness::{build_suite, QUICK_SUBSET};
 
 fn suite_engine() -> Engine {
@@ -96,17 +96,18 @@ fn spec_validation_rejects_bad_experiments() {
 }
 
 #[test]
-fn engine_runs_are_bit_identical_to_run_flow_on_the_suite() {
-    // The legacy wrapper and the spec-driven engine must agree exactly,
-    // circuit by circuit.
+fn engine_runs_are_bit_identical_to_single_cell_runs_on_the_suite() {
+    // One cost-blind cell at a time and the spec-driven engine must
+    // agree exactly, circuit by circuit.
     let engine = suite_engine();
+    let pipeline = FlowPipeline::for_config(FlowConfig::default());
     let suite = build_suite(Some(&QUICK_SUBSET));
     let spec = {
         let mut spec = FlowSpec::new("golden");
         for (bench, _) in &suite {
             spec = spec.circuit(bench.name); // suite order
         }
-        spec // cost-blind: run_flow is cost-blind too
+        spec // cost-blind, like the single cells
     };
     let run = engine.run(&spec).expect("suite verifies");
     assert_eq!(run.circuits.len(), suite.len());
@@ -114,41 +115,53 @@ fn engine_runs_are_bit_identical_to_run_flow_on_the_suite() {
         let (bench, g) = &suite[cell.circuit];
         assert_eq!(bench.name, run.circuits[cell.circuit]);
         let engine_result = &cell.outcome.as_ref().expect("verifies").result;
-        let legacy = run_flow(g, FlowConfig::default()).expect("legacy verifies");
+        let single = pipeline
+            .run_with_model(g, None)
+            .expect("single cell verifies")
+            .result;
         assert_eq!(
             engine_result.original.counts(),
-            legacy.original.counts(),
+            single.original.counts(),
             "{}",
             bench.name
         );
         assert_eq!(
             engine_result.pipelined.counts(),
-            legacy.pipelined.counts(),
+            single.pipelined.counts(),
             "{}",
             bench.name
         );
         assert_eq!(
             engine_result.pipelined.depth(),
-            legacy.pipelined.depth(),
+            single.pipelined.depth(),
             "{}",
             bench.name
         );
-        assert_eq!(engine_result.report, legacy.report, "{}", bench.name);
-        assert_eq!(engine_result.fanout, legacy.fanout, "{}", bench.name);
-        assert_eq!(engine_result.buffers, legacy.buffers, "{}", bench.name);
+        assert_eq!(engine_result.report, single.report, "{}", bench.name);
+        assert_eq!(engine_result.fanout, single.fanout, "{}", bench.name);
+        assert_eq!(engine_result.buffers, single.buffers, "{}", bench.name);
     }
 }
 
 #[test]
-fn engine_grid_is_bit_identical_to_run_grid_on_the_suite() {
-    // The legacy grid driver (itself a thin uncached-engine wrapper)
-    // and a cached spec-driven sweep must price every cell identically.
+fn engine_grid_is_bit_identical_to_single_cell_runs_on_the_suite() {
+    // One priced cell at a time and a cached spec-driven sweep must
+    // price every cell identically.
     let engine = suite_engine();
     let suite = build_suite(Some(&QUICK_SUBSET));
     let graphs: Vec<&Mig> = suite.iter().map(|(_, g)| g).collect();
     let models = tables();
 
-    let legacy = FlowPipeline::for_config(FlowConfig::default()).run_grid(&graphs, &models);
+    let pipeline = FlowPipeline::for_config(FlowConfig::default());
+    let single: Vec<(usize, usize, PipelineRun)> = (0..graphs.len())
+        .flat_map(|circuit| (0..models.len()).map(move |model| (circuit, model)))
+        .map(|(circuit, model)| {
+            let run = pipeline
+                .run_with_model(graphs[circuit], Some(&models[model]))
+                .expect("single cell verifies");
+            (circuit, model, run)
+        })
+        .collect();
     let spec = {
         let mut spec = FlowSpec::new("grid-golden");
         for (bench, _) in &suite {
@@ -161,17 +174,12 @@ fn engine_grid_is_bit_identical_to_run_grid_on_the_suite() {
     };
     let run = engine.run(&spec).expect("suite verifies");
 
-    assert_eq!(legacy.len(), run.cells.len());
-    for (old, new) in legacy.iter().zip(&run) {
-        assert_eq!(old.circuit, new.circuit);
-        assert_eq!(Some(old.model), new.technology);
-        let old_run = old.outcome.as_ref().expect("legacy verifies");
+    assert_eq!(single.len(), run.cells.len());
+    for ((circuit, model, old_run), new) in single.iter().zip(&run) {
+        assert_eq!(*circuit, new.circuit);
+        assert_eq!(Some(*model), new.technology);
         let new_run = new.outcome.as_ref().expect("engine verifies");
-        let label = format!(
-            "{} @ {}",
-            run.circuits[new.circuit],
-            models[old.model].name()
-        );
+        let label = format!("{} @ {}", run.circuits[new.circuit], models[*model].name());
         assert_eq!(
             old_run.result.pipelined.counts(),
             new_run.result.pipelined.counts(),

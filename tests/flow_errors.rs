@@ -109,7 +109,7 @@ fn custom_pass_wiring_a_combinational_cycle_fails_the_run_not_the_process() {
         .pass(Box::new(CyclePass))
         .build()
         .expect("kind tags satisfy the builder")
-        .run(&g)
+        .run_with_model(&g, None)
         .map(|_| ())
         .unwrap_err();
     let err = FlowError::from(err);

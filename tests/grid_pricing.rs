@@ -1,14 +1,23 @@
-//! Golden tests for the cost-model layer: a `run_grid` sweep must price
-//! exactly what the legacy post-hoc `compare()` path reports, and the
+//! Golden tests for the cost-model layer: an engine grid sweep must
+//! price exactly what the post-hoc `compare()` path reports, and the
 //! per-pass priced deltas must be invariant under every pass reordering
 //! the pipeline builder permits.
 
 use proptest::prelude::*;
 use tech::{compare, evaluate, OperatingMode, Technology};
 use wavepipe::{
-    run_flow, BufferStrategy, FlowConfig, FlowContext, FlowPipeline, Pass, PassError, PricedCost,
+    BufferStrategy, FlowConfig, FlowContext, FlowPipeline, FlowResult, Pass, PassError, PricedCost,
 };
 use wavepipe_bench::harness::{build_suite, engine, evaluate_suite_grid, QUICK_SUBSET};
+
+/// The default flow on one graph, cost-blind: the reference the
+/// post-hoc `compare()` / `evaluate()` path prices.
+fn single_cell(g: &mig::Mig) -> FlowResult {
+    FlowPipeline::for_config(FlowConfig::default())
+        .run_with_model(g, None)
+        .expect("single cell verifies")
+        .result
+}
 
 #[test]
 fn grid_comparisons_match_post_hoc_compare_on_quick_suite() {
@@ -21,7 +30,7 @@ fn grid_comparisons_match_post_hoc_compare_on_quick_suite() {
     assert_eq!(grid.evaluated.len(), suite.len());
     for ((spec, g), (name, comparisons)) in suite.iter().zip(&grid.evaluated) {
         assert_eq!(spec.name, name);
-        let legacy = run_flow(g, FlowConfig::default()).expect("legacy flow verifies");
+        let legacy = single_cell(g);
         for (technology, gridded) in technologies.iter().zip(comparisons) {
             assert_eq!(
                 compare(&legacy, technology),
@@ -49,7 +58,7 @@ fn grid_priced_traces_match_post_hoc_evaluation_exactly() {
             .iter()
             .find(|tech| tech.name == t.technology)
             .expect("trace names a known technology");
-        let legacy = run_flow(g, FlowConfig::default()).expect("legacy flow verifies");
+        let legacy = single_cell(g);
         let label = format!("{} @ {}", t.circuit, t.technology);
 
         // After the map pass the working netlist IS the original
@@ -108,7 +117,7 @@ enum Step {
 }
 
 fn build_and_run(steps: &[Step], technology: &Technology, g: &mig::Mig) -> Vec<PricedCost> {
-    let mut builder = FlowPipeline::builder().with_cost_model(technology);
+    let mut builder = FlowPipeline::builder();
     for step in steps {
         builder = match step {
             Step::Map => builder.map(false),
@@ -121,7 +130,7 @@ fn build_and_run(steps: &[Step], technology: &Technology, g: &mig::Mig) -> Vec<P
     builder
         .build()
         .expect("builder-permitted ordering")
-        .run(g)
+        .run_with_model(g, Some(&technology.cost_table()))
         .expect("flow verifies")
         .trace
         .iter()

@@ -271,7 +271,7 @@ fn quick_suite_agreement_with_the_differential_engine() {
     for name in QUICK_SUBSET {
         let g = benchsuite::build_mig(name).expect("registry circuit");
         let run = pipeline
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap_or_else(|e| panic!("{name}: gated flow failed: {e}"));
         let diagnostics = lint_netlist(&run.result.pipelined, Some(LIMIT));
         assert!(
@@ -296,7 +296,7 @@ fn gap_injection_is_caught_statically_not_dynamically() {
         .verify(Some(LIMIT))
         .build()
         .expect("well-ordered pipeline")
-        .run(&g)
+        .run_with_model(&g, None)
         .expect("SASC flows");
     let mut mutated = run.result.pipelined.clone();
 
@@ -378,7 +378,7 @@ fn lint_gate_names_the_pass_that_broke_legality() {
         .gate_lints()
         .build()
         .expect("well-ordered pipeline")
-        .run(&g)
+        .run_with_model(&g, None)
         .unwrap_err();
     match err {
         PassError::Lint(failure) => {
@@ -425,7 +425,7 @@ fn clean_flow_with_lint_gate_keeps_its_trace() {
         .gate_lints()
         .build()
         .expect("well-ordered pipeline")
-        .run(&g)
+        .run_with_model(&g, None)
         .expect("clean flow passes the gate");
     let names: Vec<&str> = run.trace.iter().map(|s| s.pass.as_str()).collect();
     assert_eq!(names.len(), 4, "{names:?}");
@@ -448,7 +448,7 @@ proptest! {
             .gate_lints()
             .build()
             .expect("well-ordered pipeline")
-            .run(&g)
+            .run_with_model(&g, None)
             .unwrap_or_else(|e| panic!("{name}: flow failed: {e}"));
         let diagnostics = lint_netlist(&run.result.pipelined, Some(LIMIT));
         prop_assert!(

@@ -1,15 +1,14 @@
 //! Golden tests for the pass-pipeline refactor: the default
-//! [`FlowPipeline`] must be *result-equivalent* to the legacy 4-call
-//! flow sequence, the parallel batch driver must be a pure
-//! parallelization, and the pipeline builder must enforce pass
-//! ordering.
+//! [`FlowPipeline`] and the engine's cached grid must be
+//! *result-equivalent* to the legacy 4-call flow sequence, and the
+//! pipeline builder must enforce pass ordering.
 
 use proptest::prelude::*;
 use wave_pipelining::prelude::*;
-use wavepipe::{insert_buffers, verify_balance, BufferStrategy, FlowPipeline, PipelineError};
+use wavepipe::{insert_buffers, verify_balance, BufferStrategy, PipelineError};
 use wavepipe_bench::harness::{build_suite, QUICK_SUBSET};
 
-/// The pre-refactor `run_flow` body, inlined as the golden reference:
+/// The paper's 4-call flow, hand-composed as the golden reference:
 /// map → restrict fan-out (3) → insert buffers → verify.
 fn legacy_default_flow(g: &mig::Mig) -> (Netlist, Netlist, wavepipe::BalanceReport) {
     let original = netlist_from_mig(g);
@@ -24,9 +23,17 @@ fn legacy_default_flow(g: &mig::Mig) -> (Netlist, Netlist, wavepipe::BalanceRepo
 fn default_pipeline_is_result_equivalent_to_legacy_flow_on_quick_suite() {
     let suite = build_suite(Some(&QUICK_SUBSET));
     let pipeline = FlowPipeline::for_config(FlowConfig::default());
-    for (spec, g) in &suite {
+    let graphs: Vec<&mig::Mig> = suite.iter().map(|(_, g)| g).collect();
+    let cells = Engine::new()
+        .run_pipeline_grid(
+            &PipelineSpec::for_config(FlowConfig::default()),
+            &graphs,
+            &[],
+        )
+        .expect("default pipeline validates");
+    for ((spec, g), cell) in suite.iter().zip(&cells) {
         let (golden_original, golden_pipelined, golden_report) = legacy_default_flow(g);
-        let run = pipeline.run(g).expect("pipeline verifies");
+        let run = pipeline.run_with_model(g, None).expect("pipeline verifies");
 
         // Identical KindCounts…
         assert_eq!(
@@ -56,30 +63,10 @@ fn default_pipeline_is_result_equivalent_to_legacy_flow_on_quick_suite() {
             spec.name
         );
 
-        // run_flow (the thin wrapper) agrees too.
-        let wrapped = run_flow(g, FlowConfig::default()).expect("wrapper verifies");
-        assert_eq!(wrapped.pipelined.counts(), golden_pipelined.counts());
-        assert_eq!(wrapped.report, run.result.report);
-    }
-}
-
-#[test]
-fn batch_driver_matches_sequential_wrapper_on_quick_suite() {
-    let suite = build_suite(Some(&QUICK_SUBSET));
-    let graphs: Vec<&mig::Mig> = suite.iter().map(|(_, g)| g).collect();
-    let batch = wavepipe::run_flow_batch(&graphs, FlowConfig::default());
-    assert_eq!(batch.len(), suite.len());
-    for ((spec, g), outcome) in suite.iter().zip(batch) {
-        let parallel = outcome.expect("batch flow verifies");
-        let serial = run_flow(g, FlowConfig::default()).expect("serial flow verifies");
-        assert_eq!(
-            parallel.pipelined.counts(),
-            serial.pipelined.counts(),
-            "{}",
-            spec.name
-        );
-        assert_eq!(parallel.pipelined.depth(), serial.pipelined.depth());
-        assert_eq!(parallel.report, serial.report);
+        // The engine's cached grid agrees too.
+        let gridded = &cell.run().expect("grid cell verifies").result;
+        assert_eq!(gridded.pipelined.counts(), golden_pipelined.counts());
+        assert_eq!(gridded.report, run.result.report);
     }
 }
 
@@ -88,7 +75,7 @@ fn traces_account_for_every_inserted_component() {
     let suite = build_suite(Some(&["SASC", "CMP32"]));
     let pipeline = FlowPipeline::for_config(FlowConfig::default());
     for (spec, g) in &suite {
-        let run = pipeline.run(g).expect("pipeline verifies");
+        let run = pipeline.run_with_model(g, None).expect("pipeline verifies");
         let total_added: usize = run.trace.iter().map(|p| p.added.priced_total()).sum();
         assert_eq!(
             total_added,
@@ -214,7 +201,7 @@ proptest! {
             .verify(Some(3))
             .build()
             .expect("well-ordered")
-            .run(&g)
+            .run_with_model(&g, None)
             .expect("verifies");
         prop_assert!(run.result.report.is_some());
         prop_assert!(run.result.pipelined.max_fanout() <= 3);

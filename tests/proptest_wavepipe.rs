@@ -7,6 +7,13 @@ use proptest::prelude::*;
 use wave_pipelining::prelude::*;
 use wavepipe::{verify_weighted_balance, DelayWeights, WaveSimulator};
 
+/// The configured flow on one graph: one cost-blind cell.
+fn flow(g: &Mig, config: FlowConfig) -> Result<wavepipe::FlowResult, wavepipe::PassError> {
+    FlowPipeline::for_config(config)
+        .run_with_model(g, None)
+        .map(|run| run.result)
+}
+
 fn mig_config() -> impl Strategy<Value = mig::RandomMigConfig> {
     (3usize..10, 1usize..5, 2u32..9, 0u64..500).prop_flat_map(|(inputs, outputs, depth, seed)| {
         (depth as usize + 5..120).prop_map(move |gates| mig::RandomMigConfig {
@@ -64,7 +71,7 @@ proptest! {
     #[test]
     fn full_flow_always_verifies(config in mig_config(), limit in 2u32..6) {
         let g = mig::random_mig(config);
-        let result = run_flow(
+        let result = flow(
             &g,
             FlowConfig { fanout_limit: Some(limit), insert_buffers: true, ..FlowConfig::default() },
         ).expect("flow verifies on any input");
@@ -75,7 +82,7 @@ proptest! {
     #[test]
     fn balanced_netlists_stream_coherently(config in mig_config()) {
         let g = mig::random_mig(config);
-        let result = run_flow(&g, FlowConfig::default()).expect("flow verifies");
+        let result = flow(&g, FlowConfig::default()).expect("flow verifies");
         let waves = patterns(config.inputs, config.seed ^ 2);
         let corrupted = WaveSimulator::new(&result.pipelined).check_against_golden(&waves);
         prop_assert!(corrupted.is_empty(), "corrupted: {:?}", corrupted);

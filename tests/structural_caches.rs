@@ -100,7 +100,7 @@ fn prepared_pass_variants_see_fresh_views_after_mutation() {
         .verify(Some(3))
         .build()
         .unwrap()
-        .run(&g)
+        .run_with_model(&g, None)
         .expect("flow verifies on the mutated netlist");
 
     let pipelined = &run.result.pipelined;
@@ -186,7 +186,7 @@ fn standalone_caches_invalidate_and_gated_flow_stays_sound() {
         .gate_equivalence(EquivalencePolicy::default())
         .build()
         .unwrap()
-        .run(&g)
+        .run_with_model(&g, None)
         .expect("gated flow verifies");
     let verdict =
         differential::check(&run.result.pipelined, &g, &EquivalencePolicy::default()).unwrap();

@@ -302,10 +302,15 @@ fn small_suite_circuits_are_exhaustively_equivalent_across_all_configs() {
     ];
     let policy = EquivalencePolicy::exhaustive(16);
 
+    let graphs: Vec<&Mig> = small.iter().map(|(_, g)| g).collect();
     for (label, pipeline) in configs {
-        for (name, graph) in &small {
-            let run = engine
-                .run_graph(graph, &pipeline, None)
+        let cells = engine
+            .run_pipeline_grid(&pipeline, &graphs, &[])
+            .unwrap_or_else(|e| panic!("{label}: pipeline rejected: {e}"));
+        for ((name, graph), cell) in small.iter().zip(&cells) {
+            let run = cell
+                .outcome
+                .as_ref()
                 .unwrap_or_else(|e| panic!("{label}/{name}: flow failed: {e}"));
             match differential::check(&run.result.pipelined, graph, &policy).unwrap() {
                 Verdict::Equivalent {
