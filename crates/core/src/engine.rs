@@ -6,19 +6,23 @@
 //! [`FlowSpec`] into an ordering-checked [`FlowPipeline`], resolves its
 //! circuit selection (registry names via a pluggable resolver, inline
 //! netlists via the `mig` text parser), and sweeps the circuit ×
-//! technology grid on the work-pulling parallel scheduler, one
-//! [`FlowPipeline::run_with_model`] call per cell — except every cell
-//! first consults a cache keyed by `(circuit content hash, pipeline
-//! content hash, technology content hash)`. Repeated and *overlapping* sweeps only
-//! recompute changed cells: re-running the same spec is pure cache
-//! hits, editing one technology re-prices only that column, adding a
-//! circuit computes only its row.
+//! technology grid on the work-pulling parallel scheduler. The unit of
+//! work is one pipeline execution: a cost-blind pipeline (no
+//! cost-aware pass, so no pass reads the model) runs once per circuit
+//! and each technology's cell prices that one run; a cost-aware
+//! pipeline runs once per (circuit, technology) cell. Either way a cell
+//! equals [`FlowPipeline::run_with_model`] under its technology. Every
+//! cell first consults a cache keyed by `(circuit content hash,
+//! pipeline content hash, technology content hash)`. Repeated and
+//! *overlapping* sweeps only recompute changed cells: re-running the
+//! same spec is pure cache hits, editing one technology re-prices only
+//! that column, adding a circuit computes only its row.
 //!
 //! Cached cells come back as [`Arc`]-shared [`PipelineRun`]s, so a warm
 //! re-run returns bit-identical results (the golden tests pin this)
 //! while executing **zero passes** — asserted via the engine's
-//! [`EngineStats::passes_executed`] counter, which sums the per-pass
-//! [`crate::PassStats`] records of every run that actually executed.
+//! [`EngineStats::passes_executed`] counter, which counts the passes of
+//! every execution once.
 //!
 //! Results stream: [`Engine::run_streaming`] invokes a callback from
 //! the worker threads as each cell completes, and the collected
@@ -60,7 +64,7 @@ use rayon::prelude::*;
 use crate::cost::CostTable;
 use crate::error::FlowError;
 use crate::pipeline::{FlowPipeline, PassError, PipelineRun};
-use crate::spec::{CircuitSpec, FlowSpec, PipelineSpec, SpecError};
+use crate::spec::{CircuitSpec, FlowSpec, PassSpec, PipelineSpec, SpecError};
 
 /// Looks a named circuit up; `None` means "not in the registry".
 pub type CircuitResolver = dyn Fn(&str) -> Option<Mig> + Send + Sync;
@@ -83,11 +87,14 @@ const COST_BLIND: u64 = 0;
 pub struct EngineStats {
     /// Cells answered from the cache.
     pub cache_hits: u64,
-    /// Cells that had to execute (cold, changed or evicted).
+    /// Cells not found in the cache (cold, changed or evicted); one
+    /// cost-blind execution computes every missing technology cell of
+    /// its circuit.
     pub cache_misses: u64,
-    /// Passes actually executed, summed from the [`crate::PassStats`]
-    /// traces of every run that was computed rather than recalled — the
-    /// counter the warm-cache golden test pins to zero.
+    /// Passes actually executed: the [`crate::PassStats`] trace length
+    /// of every successful execution, counted once per execution however
+    /// many technology cells it priced — the counter the warm-cache
+    /// golden test pins to zero.
     pub passes_executed: u64,
     /// Cells evicted by the LRU capacity bound.
     pub evictions: u64,
@@ -141,6 +148,10 @@ impl RunTally {
 }
 
 /// One finished grid cell of an engine run.
+///
+/// The cells one cost-blind execution priced carry copies of one run,
+/// so they share its [`crate::PassStats::micros`]: each reports the
+/// wall time of the whole shared execution, not a per-cell share.
 #[derive(Clone, Debug)]
 pub struct EngineCell {
     /// Index into the run's circuit list.
@@ -461,8 +472,8 @@ impl Engine {
 
         let tally = RunTally::default();
         let cells = self.grid_cells(
+            &spec.pipeline,
             &pipeline,
-            spec.pipeline.content_hash(),
             &graphs,
             &spec.technologies,
             Some(&tally),
@@ -505,29 +516,29 @@ impl Engine {
             return Err(SpecError::CostAwareWithoutTechnology.into());
         }
         let built = pipeline.build()?;
-        Ok(self.grid_cells(
-            &built,
-            pipeline.content_hash(),
-            graphs,
-            models,
-            None,
-            &|_| {},
-        ))
+        Ok(self.grid_cells(pipeline, &built, graphs, models, None, &|_| {}))
     }
 
-    /// Grid execution over an already-built pipeline. `pipe_hash` is
-    /// the pipeline's stable identity; with caching disabled every cell
-    /// executes.
+    /// Grid execution over an already-built pipeline and the spec it
+    /// was built from (its content hash is the cache key's pipeline
+    /// part); with caching disabled every cell executes.
+    ///
+    /// The unit of work is one execution: a cost-blind pipeline runs
+    /// once per circuit and each technology's cell prices that run
+    /// (no pass reads the model, so the cells equal per-technology
+    /// runs); a cost-aware pipeline runs once per (circuit, technology)
+    /// cell. Units are circuit-major, so the flattened cells are too.
     fn grid_cells(
         &self,
+        spec: &PipelineSpec,
         pipeline: &FlowPipeline,
-        pipe_hash: u64,
         graphs: &[&Mig],
         models: &[CostTable],
         tally: Option<&RunTally>,
         sink: &(dyn Fn(&EngineCell) + Sync),
     ) -> Vec<EngineCell> {
         let caching = self.capacity != Some(0);
+        let pipe_hash = spec.content_hash();
         // One content hash per circuit, computed once per sweep — a
         // direct arena walk, no intermediate serialization.
         let circuit_hashes: Vec<u64> = if caching {
@@ -536,69 +547,135 @@ impl Engine {
             vec![0; graphs.len()]
         };
         let tech_hashes: Vec<u64> = models.iter().map(CostTable::content_hash).collect();
+        let verify_limit = spec.passes.iter().rev().find_map(|pass| match pass {
+            PassSpec::Verify { fanout_limit } => Some(*fanout_limit),
+            _ => None,
+        });
 
-        let coords: Vec<(usize, Option<usize>)> = if models.is_empty() {
-            (0..graphs.len()).map(|c| (c, None)).collect()
+        let shared = !spec.uses_cost_aware_passes();
+        let technologies: Vec<Option<usize>> = if models.is_empty() {
+            vec![None]
         } else {
-            (0..graphs.len())
-                .flat_map(|c| (0..models.len()).map(move |m| (c, Some(m))))
-                .collect()
+            (0..models.len()).map(Some).collect()
         };
-
-        coords
-            .par_iter()
-            .map(|&(circuit, technology)| {
-                let key = caching.then(|| CacheKey {
-                    circuit: circuit_hashes[circuit],
-                    pipeline: pipe_hash,
-                    technology: technology.map_or(COST_BLIND, |m| tech_hashes[m]),
-                });
-                if let Some(run) = key.and_then(|key| self.lookup(&key, tally)) {
-                    let cell = EngineCell {
-                        circuit,
-                        technology,
-                        cached: true,
-                        outcome: Ok(run),
-                    };
-                    sink(&cell);
-                    return cell;
-                }
-
-                let model = technology.map(|m| &models[m]);
-                let outcome = pipeline.run_with_model(graphs[circuit], model);
-                if caching {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tally) = tally {
-                        tally.misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                let outcome = match outcome {
-                    Ok(run) => {
-                        self.passes_executed
-                            .fetch_add(run.trace.len() as u64, Ordering::Relaxed);
-                        if let Some(tally) = tally {
-                            tally
-                                .passes
-                                .fetch_add(run.trace.len() as u64, Ordering::Relaxed);
-                        }
-                        let run = Arc::new(run);
-                        if let Some(key) = key {
-                            self.insert(key, run.clone(), tally);
-                        }
-                        Ok(run)
-                    }
-                    Err(e) => Err(e),
-                };
-                let cell = EngineCell {
-                    circuit,
-                    technology,
-                    cached: false,
-                    outcome,
-                };
-                sink(&cell);
-                cell
+        let width = if shared { technologies.len() } else { 1 };
+        let units: Vec<(usize, &[Option<usize>])> = (0..graphs.len())
+            .flat_map(|circuit| {
+                technologies
+                    .chunks(width)
+                    .map(move |techs| (circuit, techs))
             })
-            .collect()
+            .collect();
+
+        let cells: Vec<Vec<EngineCell>> = units
+            .par_iter()
+            .map(|&(circuit, techs)| {
+                let keys: Vec<Option<CacheKey>> = techs
+                    .iter()
+                    .map(|technology| {
+                        caching.then(|| CacheKey {
+                            circuit: circuit_hashes[circuit],
+                            pipeline: pipe_hash,
+                            technology: technology.map_or(COST_BLIND, |m| tech_hashes[m]),
+                        })
+                    })
+                    .collect();
+                let hits: Vec<Option<Arc<PipelineRun>>> = keys
+                    .iter()
+                    .map(|key| key.and_then(|key| self.lookup(&key, tally)))
+                    .collect();
+                let tables: Vec<Option<&CostTable>> = techs
+                    .iter()
+                    .zip(&hits)
+                    .filter(|(_, hit)| hit.is_none())
+                    .map(|(technology, _)| technology.map(|m| &models[m]))
+                    .collect();
+                // Shared units execute cost-blind; a cost-aware unit is
+                // one cell, run under its own model.
+                let model = if shared {
+                    None
+                } else {
+                    techs[0].map(|m| &models[m])
+                };
+                let mut fresh = if tables.is_empty() {
+                    Vec::new()
+                } else {
+                    self.execute_unit(pipeline, graphs[circuit], model, &tables, tally)
+                }
+                .into_iter();
+
+                techs
+                    .iter()
+                    .zip(keys)
+                    .zip(hits)
+                    .map(|((&technology, key), hit)| {
+                        let cell = match hit {
+                            Some(run) => EngineCell {
+                                circuit,
+                                technology,
+                                cached: true,
+                                outcome: Ok(run),
+                            },
+                            None => {
+                                let outcome = fresh.next().expect("one run per missed cell");
+                                if let Ok(run) = &outcome {
+                                    debug_assert!(
+                                        satisfies_verify_bound(run, verify_limit),
+                                        "engine invariant: an Ok run of `{}` fails \
+                                         verify_balance at its pipeline's limit {verify_limit:?}",
+                                        run.result.pipelined.name()
+                                    );
+                                    if let Some(key) = key {
+                                        self.insert(key, run.clone(), tally);
+                                    }
+                                }
+                                EngineCell {
+                                    circuit,
+                                    technology,
+                                    cached: false,
+                                    outcome,
+                                }
+                            }
+                        };
+                        sink(&cell);
+                        cell
+                    })
+                    .collect()
+            })
+            .collect();
+        cells.into_iter().flatten().collect()
+    }
+
+    /// Executes a unit's missed cells once under `model` and prices one
+    /// run per entry of `tables`, counting the misses (when caching)
+    /// and, on success, the passes. A failure is every cell's outcome.
+    fn execute_unit(
+        &self,
+        pipeline: &FlowPipeline,
+        graph: &Mig,
+        model: Option<&CostTable>,
+        tables: &[Option<&CostTable>],
+        tally: Option<&RunTally>,
+    ) -> Vec<Result<Arc<PipelineRun>, PassError>> {
+        let outcome = pipeline.run_priced(graph, model, tables);
+        if self.capacity != Some(0) {
+            let count = tables.len() as u64;
+            self.misses.fetch_add(count, Ordering::Relaxed);
+            if let Some(tally) = tally {
+                tally.misses.fetch_add(count, Ordering::Relaxed);
+            }
+        }
+        match outcome {
+            Ok(runs) => {
+                let passes = runs[0].trace.len() as u64;
+                self.passes_executed.fetch_add(passes, Ordering::Relaxed);
+                if let Some(tally) = tally {
+                    tally.passes.fetch_add(passes, Ordering::Relaxed);
+                }
+                runs.into_iter().map(|run| Ok(Arc::new(run))).collect()
+            }
+            Err(e) => vec![Err(e); tables.len()],
+        }
     }
 
     /// Looks a key up and, on a hit, counts it (globally and in the
@@ -614,6 +691,13 @@ impl Engine {
 
     fn insert(&self, key: CacheKey, run: Arc<PipelineRun>, tally: Option<&RunTally>) {
         let mut cache = self.lock_cache();
+        // A key already present — a duplicate technology in one unit,
+        // or a concurrent run that computed the cell first — is
+        // replaced in place and evicts nothing.
+        if let Some(cached) = cache.cells.get_mut(&key) {
+            *cached = run;
+            return;
+        }
         if let Some(capacity) = self.capacity {
             while cache.cells.len() >= capacity {
                 match cache.order.pop_front() {
@@ -628,9 +712,8 @@ impl Engine {
                 }
             }
         }
-        if cache.cells.insert(key, run).is_none() {
-            cache.order.push_back(key);
-        }
+        cache.cells.insert(key, run);
+        cache.order.push_back(key);
     }
 
     fn resolve(&self, circuit: &CircuitSpec) -> Result<Mig, SpecError> {
@@ -659,6 +742,19 @@ impl Engine {
             .ok_or_else(|| SpecError::NoResolver(name.to_owned()))?;
         resolver(name).ok_or_else(|| SpecError::UnknownCircuit(name.to_owned()))
     }
+}
+
+/// The engine-wide invariant, checked on every fresh `Ok` run in debug
+/// builds: when the pipeline ends in a unit-balance verify (the last
+/// `PassSpec::Verify`'s `fanout_limit`, if any), `verify_balance` at
+/// that limit passes and yields the report the run carries.
+fn satisfies_verify_bound(run: &PipelineRun, verify_limit: Option<Option<u32>>) -> bool {
+    verify_limit.is_none_or(|limit| {
+        matches!(
+            crate::balance::verify_balance(&run.result.pipelined, limit),
+            Ok(report) if Some(report) == run.result.report
+        )
+    })
 }
 
 #[cfg(test)]

@@ -499,8 +499,46 @@ impl FlowPipeline {
         graph: &Mig,
         model: Option<&CostTable>,
     ) -> Result<PipelineRun, PassError> {
+        let (mut run, outputs) = self.execute(graph, model)?;
+        if let Some(table) = model {
+            price(&mut run.trace, &outputs, table);
+        }
+        Ok(run)
+    }
+
+    /// Executes the pipeline once under `model` and returns one run per
+    /// entry of `tables`, each priced under that table (unpriced for
+    /// `None`) — identical to one [`FlowPipeline::run_with_model`] call
+    /// per table whenever no pass reads the model.
+    pub(crate) fn run_priced(
+        &self,
+        graph: &Mig,
+        model: Option<&CostTable>,
+        tables: &[Option<&CostTable>],
+    ) -> Result<Vec<PipelineRun>, PassError> {
+        let (run, outputs) = self.execute(graph, model)?;
+        // `vec!` clones for all but the last slot, which takes the run.
+        let mut runs = vec![run; tables.len()];
+        for (run, table) in runs.iter_mut().zip(tables) {
+            if let Some(table) = table {
+                price(&mut run.trace, &outputs, table);
+            }
+        }
+        Ok(runs)
+    }
+
+    /// Runs the passes with `model` in the context (what cost-aware
+    /// passes consult) and an unpriced trace, plus each pass's output
+    /// count before and after it — the one pricing input
+    /// [`PassStats`] does not keep.
+    fn execute(
+        &self,
+        graph: &Mig,
+        model: Option<&CostTable>,
+    ) -> Result<(PipelineRun, Vec<[usize; 2]>), PassError> {
         let mut ctx = FlowContext::new(graph, model.cloned());
         let mut trace = Vec::with_capacity(self.passes.len());
+        let mut outputs = Vec::with_capacity(self.passes.len());
         for pass in &self.passes {
             // Rewrite passes run before mapping, so their effect lives
             // in the working MIG, not the (still empty) netlist:
@@ -544,11 +582,7 @@ impl FlowPipeline {
                     ctx.try_depth()?,
                 )
             };
-            let priced = ctx.cost.as_ref().map(|table| PricedDelta {
-                model: table.name().to_owned(),
-                before: table.price(&counts_before, outputs_before, depth_before),
-                after: table.price(&counts_after, outputs_after, depth_after),
-            });
+            outputs.push([outputs_before, outputs_after]);
             trace.push(PassStats {
                 pass: pass.name(),
                 micros,
@@ -557,7 +591,7 @@ impl FlowPipeline {
                 added: counts_after.added_since(&counts_before),
                 depth_before,
                 depth_after,
-                priced,
+                priced: None,
             });
 
             // Pre-map gate counterparts for rewrite passes: the working
@@ -690,7 +724,7 @@ impl FlowPipeline {
                 "mapping pass never installed a netlist (call FlowContext::set_mapped)".to_owned(),
             )
         })?;
-        Ok(PipelineRun {
+        let run = PipelineRun {
             result: FlowResult {
                 original,
                 pipelined: ctx.netlist,
@@ -700,7 +734,20 @@ impl FlowPipeline {
             },
             weighted: ctx.weighted,
             trace,
-        })
+        };
+        Ok((run, outputs))
+    }
+}
+
+/// Fills every trace entry's [`PassStats::priced`] under `table`;
+/// `outputs` holds each pass's output count before and after it.
+fn price(trace: &mut [PassStats], outputs: &[[usize; 2]], table: &CostTable) {
+    for (stats, &[outputs_before, outputs_after]) in trace.iter_mut().zip(outputs) {
+        stats.priced = Some(PricedDelta {
+            model: table.name().to_owned(),
+            before: table.price(&stats.counts_before, outputs_before, stats.depth_before),
+            after: table.price(&stats.counts_after, outputs_after, stats.depth_after),
+        });
     }
 }
 

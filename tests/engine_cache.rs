@@ -2,8 +2,12 @@
 //! refresh recency, filling past capacity evicts the least-recently-
 //! used cell, and re-running an evicted cell re-executes its passes
 //! (all confirmed through the [`wavepipe::EngineStats`] counters).
+//! Also the engine's unit of work: a cost-blind pipeline executes once
+//! per circuit and prices that run per technology, a cost-aware one
+//! executes once per cell.
 
-use wavepipe::{Engine, FlowSpec, SynthSpec};
+use tech::Technology;
+use wavepipe::{BufferStrategy, CostTable, Engine, FlowSpec, PipelineRun, PipelineSpec, SynthSpec};
 
 fn engine(capacity: usize) -> Engine {
     Engine::new()
@@ -84,4 +88,149 @@ fn cumulative_counters_track_every_run() {
     assert_eq!(engine.cached_cells(), 0);
     let after = engine.run(&spec(1)).unwrap();
     assert_eq!(after.stats.cache_misses, 1, "clear forces recomputation");
+}
+
+#[test]
+fn a_key_already_present_evicts_nothing() {
+    let engine = engine(2);
+    engine.run(&spec(1)).unwrap(); // cache: [1]
+
+    // The same technology twice: two cells, one key.
+    let table = Technology::swd().cost_table();
+    let twice = spec(2).technology(table.clone()).technology(table);
+    let run = engine.run(&twice).unwrap();
+    assert_eq!(run.cells.len(), 2);
+    assert_eq!(run.stats.cache_misses, 2);
+    assert_eq!(run.stats.evictions, 0, "re-inserting a key evicts nothing");
+    assert_eq!(engine.cached_cells(), 2);
+
+    let back = engine.run(&spec(1)).unwrap();
+    assert_eq!(back.stats.cache_hits, 1, "cell 1 is still resident");
+}
+
+fn tables() -> Vec<CostTable> {
+    Technology::all()
+        .iter()
+        .map(Technology::cost_table)
+        .collect()
+}
+
+fn grid(pipeline: PipelineSpec, seeds: &[u64], tables: &[CostTable]) -> FlowSpec {
+    let mut spec = FlowSpec::new("units").with_pipeline(pipeline);
+    for table in tables {
+        spec = spec.technology(table.clone());
+    }
+    for &seed in seeds {
+        spec = spec.synthetic_circuit(SynthSpec::new("dag", seed).param("nodes", 60));
+    }
+    spec
+}
+
+fn cost_aware() -> PipelineSpec {
+    PipelineSpec::map(false)
+        .restrict_fanout_cost_aware()
+        .insert_buffers(BufferStrategy::CostAware)
+        .verify_cost_aware(None)
+}
+
+/// Passes one execution of `pipeline` runs (the map pass included).
+fn passes(pipeline: &PipelineSpec) -> u64 {
+    pipeline.build().unwrap().pass_names().len() as u64
+}
+
+/// The run's full rendering with the wall-clock `micros` zeroed.
+fn rendered(run: &PipelineRun) -> String {
+    let mut run = run.clone();
+    for pass in &mut run.trace {
+        pass.micros = 0;
+    }
+    format!("{run:?}")
+}
+
+/// Every cell equals a single-cell `run_with_model` of its coordinates.
+fn assert_cells_match_single_runs(spec: &FlowSpec, run: &wavepipe::EngineRun) {
+    let pipeline = spec.pipeline.build().unwrap();
+    for cell in run {
+        let g = benchsuite::build_mig(&run.circuits[cell.circuit]).unwrap();
+        let model = cell.technology.map(|m| &spec.technologies[m]);
+        let direct = pipeline.run_with_model(&g, model).unwrap();
+        assert_eq!(rendered(cell.run().unwrap()), rendered(&direct));
+    }
+}
+
+#[test]
+fn cost_blind_specs_execute_once_per_circuit_and_price_per_technology() {
+    let engine = engine(64);
+    let spec = grid(PipelineSpec::default(), &[1, 2], &tables());
+    let passes = passes(&spec.pipeline);
+    let run = engine.run(&spec).unwrap();
+    assert_eq!(run.cells.len(), 6);
+    assert_eq!(
+        run.stats.passes_executed,
+        passes * 2,
+        "one execution per circuit"
+    );
+    assert_eq!(run.stats.cache_misses, 6, "misses still count cells");
+    assert!(run.iter().all(|cell| {
+        let priced = &cell.run().unwrap().trace[0].priced;
+        priced.as_ref().map(|p| p.model.as_str())
+            == Some(spec.technologies[cell.technology.unwrap()].name())
+    }));
+    assert_cells_match_single_runs(&spec, &run);
+}
+
+#[test]
+fn cost_aware_specs_execute_once_per_cell() {
+    let engine = engine(64);
+    let spec = grid(cost_aware(), &[1, 2], &tables());
+    let passes = passes(&spec.pipeline);
+    let run = engine.run(&spec).unwrap();
+    assert_eq!(run.stats.passes_executed, passes * 6);
+    assert_eq!(run.stats.cache_misses, 6);
+    assert_cells_match_single_runs(&spec, &run);
+}
+
+#[test]
+fn adding_a_technology_to_a_warm_spec_executes_once() {
+    let engine = engine(64);
+    let tables = tables();
+    let passes = passes(&PipelineSpec::default());
+    engine
+        .run(&grid(PipelineSpec::default(), &[1, 2], &tables[..2]))
+        .unwrap();
+
+    let grown = grid(PipelineSpec::default(), &[1, 2], &tables);
+    let run = engine.run(&grown).unwrap();
+    assert_eq!(run.stats.cache_hits, 4);
+    assert_eq!(run.stats.cache_misses, 2, "only the new column misses");
+    assert_eq!(run.stats.passes_executed, passes * 2, "once per circuit");
+    for cell in &run {
+        assert_eq!(cell.cached, cell.technology != Some(2));
+    }
+    assert_cells_match_single_runs(&grown, &run);
+}
+
+#[test]
+fn a_failing_cost_blind_execution_fails_every_technology_cell() {
+    let engine = engine(64);
+    engine.run(&spec(1)).unwrap();
+    let cached = engine.cached_cells();
+
+    // No restriction or buffers: the unbalanced map fails verification.
+    let spec = grid(PipelineSpec::map(false).verify(Some(3)), &[3], &tables());
+    let run = engine.run(&spec).unwrap();
+    let g = benchsuite::build_mig(&run.circuits[0]).unwrap();
+    let direct = spec.pipeline.build().unwrap().run_with_model(&g, None);
+    let expected = direct.expect_err("an unbalanced map fails verify");
+    assert_eq!(run.cells.len(), 3);
+    for cell in &run {
+        assert!(!cell.cached);
+        assert_eq!(cell.outcome.as_ref().unwrap_err(), &expected);
+    }
+    assert_eq!(run.stats.cache_misses, 3);
+    assert_eq!(
+        run.stats.passes_executed, 0,
+        "a failed run counts no passes"
+    );
+    assert_eq!(engine.cached_cells(), cached, "failures are never cached");
 }

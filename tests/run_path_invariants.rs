@@ -1,15 +1,17 @@
 //! Run-path invariants: every `Ok` result a public run path returns
 //! satisfies the pipeline's own §III/§IV bound — unit-span edges,
 //! aligned outputs and fan-out ≤ k — as checked by [`verify_balance`]
-//! at the pipeline's fan-out limit. Each path runs cold and then warm
-//! (a cache hit where the path caches), and both results are checked.
+//! at the pipeline's fan-out limit (weighted balance where cost-aware
+//! insertion balanced against a multi-phase technology). Each path
+//! runs cold and then warm (a cache hit where the path caches), and
+//! both results are checked.
 
 use std::sync::{Arc, Mutex};
 
 use tech::Technology;
 use wavepipe::{
-    verify_balance, BufferStrategy, CostTable, Engine, EquivalencePolicy, FlowConfig, FlowSpec,
-    PassSpec, PipelineRun, PipelineSpec, SynthSpec,
+    verify_balance, verify_weighted_balance, BufferStrategy, CostTable, DelayWeights, Engine,
+    EquivalencePolicy, FlowConfig, FlowSpec, PassSpec, PipelineRun, PipelineSpec, SynthSpec,
 };
 use wavepipe_serve::{Client, Event, Request, ServeConfig, Server};
 
@@ -39,8 +41,10 @@ fn tables() -> Vec<CostTable> {
         .collect()
 }
 
-/// The paper's default flow, a retimed k = 4 flow and a gated
-/// rewrite-prefixed flow.
+/// The paper's default flow, a retimed k = 4 flow, a gated
+/// rewrite-prefixed flow and a cost-aware flow. The engine runs the
+/// first three once per circuit and prices each technology from that
+/// run; the last runs once per (circuit, technology) cell.
 fn pipelines() -> Vec<PipelineSpec> {
     vec![
         PipelineSpec::for_config(FlowConfig::default()),
@@ -55,19 +59,20 @@ fn pipelines() -> Vec<PipelineSpec> {
             .insert_buffers(BufferStrategy::Asap)
             .verify(Some(3))
             .gate_equivalence(EquivalencePolicy::sampled(2, 11)),
+        PipelineSpec::map(false)
+            .restrict_fanout_cost_aware()
+            .insert_buffers(BufferStrategy::CostAware)
+            .verify_cost_aware(None),
     ]
 }
 
-/// The fan-out limit the pipeline restricts to.
-fn limit(pipeline: &PipelineSpec) -> u32 {
-    pipeline
-        .passes
-        .iter()
-        .find_map(|pass| match pass {
-            PassSpec::RestrictFanout { limit } => Some(*limit),
-            _ => None,
-        })
-        .expect("every pipeline under test restricts fan-out")
+/// The fan-out limit the pipeline restricts to, when it is fixed (the
+/// cost-aware restriction chooses one per cell).
+fn fixed_limit(pipeline: &PipelineSpec) -> Option<u32> {
+    pipeline.passes.iter().find_map(|pass| match pass {
+        PassSpec::RestrictFanout { limit } => Some(*limit),
+        _ => None,
+    })
 }
 
 fn engine() -> Engine {
@@ -85,12 +90,33 @@ fn spec(pipeline: &PipelineSpec) -> FlowSpec {
     spec
 }
 
+/// Checks the pipeline's own bound on an `Ok` result: unit balance at
+/// its fan-out limit, or — where cost-aware insertion balanced against
+/// a multi-phase technology's delays — weighted balance under `model`
+/// and fan-out ≤ k.
 #[track_caller]
-fn check(path: &str, run: &PipelineRun, limit: u32) {
-    if let Err(e) = verify_balance(&run.result.pipelined, Some(limit)) {
+fn check(path: &str, run: &PipelineRun, pipeline: &PipelineSpec, model: Option<&CostTable>) {
+    let limit = fixed_limit(pipeline)
+        .or(run.result.fanout.as_ref().map(|fanout| fanout.limit))
+        .expect("every pipeline under test restricts fan-out");
+    let netlist = &run.result.pipelined;
+    let verdict = if run.weighted.is_some() {
+        let model = model.expect("weighted insertion runs under a model");
+        verify_weighted_balance(netlist, &DelayWeights::for_cost_model(model)).and_then(|_| {
+            let fanout = netlist.max_fanout();
+            (fanout <= limit)
+                .then_some(())
+                .ok_or(format!("fan-out {fanout}"))
+        })
+    } else {
+        verify_balance(netlist, Some(limit))
+            .map(|_| ())
+            .map_err(|e| format!("{e:?}"))
+    };
+    if let Err(e) = verdict {
         panic!(
-            "{path}: Ok result on `{}` breaks its own bound (k = {limit}): {e:?}",
-            run.result.pipelined.name()
+            "{path}: Ok result on `{}` breaks its own bound (k = {limit}): {e}",
+            netlist.name()
         );
     }
 }
@@ -101,10 +127,12 @@ fn run_with_model_results_satisfy_the_bound() {
     for pipeline in pipelines() {
         let built = pipeline.build().expect("well-ordered");
         for g in graphs() {
-            for model in std::iter::once(None).chain(models.iter().map(Some)) {
+            // A cost-aware pipeline has no cost-blind cell.
+            let blind = (!pipeline.uses_cost_aware_passes()).then_some(None);
+            for model in blind.into_iter().chain(models.iter().map(Some)) {
                 for _ in 0..2 {
                     let run = built.run_with_model(&g, model).expect("cell verifies");
-                    check("FlowPipeline::run_with_model", &run, limit(&pipeline));
+                    check("FlowPipeline::run_with_model", &run, &pipeline, model);
                 }
             }
         }
@@ -121,7 +149,8 @@ fn engine_run_and_streaming_cells_satisfy_the_bound_cold_and_warm() {
             for cell in &run {
                 assert_eq!(cell.cached, pass == "warm", "{pass} run");
                 let result = cell.run().expect("cell verifies");
-                check(&format!("Engine::run ({pass})"), result, limit(&pipeline));
+                let model = cell.technology.map(|m| &spec.technologies[m]);
+                check(&format!("Engine::run ({pass})"), result, &pipeline, model);
             }
         }
 
@@ -131,7 +160,8 @@ fn engine_run_and_streaming_cells_satisfy_the_bound_cold_and_warm() {
             fresh
                 .run_streaming(&spec, |cell| {
                     if let Ok(run) = &cell.outcome {
-                        streamed.lock().unwrap().push((cell.cached, run.clone()));
+                        let entry = (cell.cached, cell.technology, run.clone());
+                        streamed.lock().unwrap().push(entry);
                     }
                 })
                 .expect("spec runs");
@@ -141,12 +171,13 @@ fn engine_run_and_streaming_cells_satisfy_the_bound_cold_and_warm() {
             streamed.len(),
             2 * spec.circuits.len() * spec.technologies.len()
         );
-        assert!(streamed.iter().any(|(cached, _)| *cached));
-        for (cached, run) in &streamed {
+        assert!(streamed.iter().any(|(cached, _, _)| *cached));
+        for (cached, technology, run) in &streamed {
             check(
                 &format!("Engine::run_streaming (cached {cached})"),
                 run,
-                limit(&pipeline),
+                &pipeline,
+                technology.map(|m| &spec.technologies[m]),
             );
         }
     }
@@ -169,7 +200,8 @@ fn engine_grid_cells_satisfy_the_bound_cold_and_warm() {
                 check(
                     &format!("Engine::run_pipeline_grid ({pass})"),
                     run,
-                    limit(&pipeline),
+                    &pipeline,
+                    cell.technology.map(|m| &models[m]),
                 );
             }
         }
@@ -189,7 +221,7 @@ fn served_cells_satisfy_the_bound_cold_and_warm() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let pipeline = PipelineSpec::for_config(FlowConfig::default());
     let spec = spec(&pipeline);
-    let k = limit(&pipeline);
+    let k = fixed_limit(&pipeline).expect("the default flow has a fixed limit");
     for id in 0..2 {
         client
             .send(&Request::Run {
@@ -222,6 +254,12 @@ fn served_cells_satisfy_the_bound_cold_and_warm() {
     let warm = shared.run(&spec).expect("cache re-serve");
     assert!(warm.iter().all(|cell| cell.cached));
     for cell in &warm {
-        check("served cell", cell.run().expect("cell verifies"), k);
+        let model = cell.technology.map(|m| &spec.technologies[m]);
+        check(
+            "served cell",
+            cell.run().expect("cell verifies"),
+            &pipeline,
+            model,
+        );
     }
 }
