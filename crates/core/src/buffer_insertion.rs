@@ -27,8 +27,7 @@ use crate::component::{CompId, ComponentKind};
 use crate::netlist::Netlist;
 
 /// Statistics returned by [`insert_buffers`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BufferInsertion {
     /// Buffers inserted between internal components (first loop of
     /// Algorithm 1).

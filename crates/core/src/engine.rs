@@ -83,7 +83,7 @@ struct CacheKey {
 const COST_BLIND: u64 = 0;
 
 /// Cumulative (or per-run delta) engine counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct EngineStats {
     /// Cells answered from the cache.
     pub cache_hits: u64,

@@ -131,10 +131,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! With the `serde` cargo feature enabled, the statistics types
-//! ([`KindCounts`], [`PassStats`], the per-pass stats structs) are
-//! JSON-serializable for harness output.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

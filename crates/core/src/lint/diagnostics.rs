@@ -4,19 +4,19 @@
 //! Diagnostics are machine-readable: each carries a stable rule code
 //! (`WP0xx` netlist legality, `MIG0xx` graph hygiene, `SPEC0xx`
 //! spec/cost), and the whole record serializes to JSON through the
-//! vendored serde stack (hand-rolled impls — the mini derive cannot
-//! express enums), so `wavecheck --json` reports and golden tests pin
-//! the exact shape.
+//! vendored serde derives, so `wavecheck --json` reports and golden
+//! tests pin the exact shape.
 
 use std::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// How bad a finding is.
 ///
 /// Ordered: `Info < Warning < Error`, so severity thresholds can be
 /// expressed with plain comparisons.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Severity {
     /// Informational observation; never fails anything.
     Info,
@@ -45,7 +45,8 @@ impl fmt::Display for Severity {
 }
 
 /// Which artifact layer a rule inspects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Category {
     /// Mapped/pipelined netlist legality (`WP0xx`).
     Netlist,
@@ -73,7 +74,7 @@ impl fmt::Display for Category {
 }
 
 /// One finding of one lint rule.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Diagnostic {
     /// Stable rule code (`WP001`, `MIG003`, `SPEC002`, …).
     pub code: String,
@@ -87,7 +88,9 @@ pub struct Diagnostic {
     pub subject: String,
     /// Where inside the subject, when the rule can point at one place:
     /// a component id (`c42`), a MIG node (`n7`), an output port name,
-    /// a pass position (`passes[2]`) or a technology name.
+    /// a pass position (`passes[2]`) or a technology name. Omitted from
+    /// the JSON when absent.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub provenance: Option<String>,
 }
 
@@ -109,7 +112,7 @@ impl fmt::Display for Diagnostic {
 
 /// The diagnostic set a lint gate tripped on, carried by
 /// [`crate::PassError::Lint`] with the offending pass's name.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct LintFailure {
     /// The pass after which the gate fired.
     pub pass: String,
@@ -130,103 +133,6 @@ impl fmt::Display for LintFailure {
             self.pass,
             self.diagnostics.len()
         )
-    }
-}
-
-// --- serde: hand-rolled because the vendored mini-serde derive cannot
-// --- express enums.
-
-fn object(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
-impl Serialize for Severity {
-    fn to_value(&self) -> Value {
-        Value::Str(self.as_str().to_owned())
-    }
-}
-
-impl Deserialize for Severity {
-    fn from_value(value: &Value) -> Result<Severity, DeError> {
-        match value {
-            Value::Str(s) => match s.as_str() {
-                "info" => Ok(Severity::Info),
-                "warning" => Ok(Severity::Warning),
-                "error" => Ok(Severity::Error),
-                other => Err(DeError(format!("unknown severity `{other}`"))),
-            },
-            _ => Err(DeError::expected("severity string")),
-        }
-    }
-}
-
-impl Serialize for Category {
-    fn to_value(&self) -> Value {
-        Value::Str(self.as_str().to_owned())
-    }
-}
-
-impl Deserialize for Category {
-    fn from_value(value: &Value) -> Result<Category, DeError> {
-        match value {
-            Value::Str(s) => match s.as_str() {
-                "netlist" => Ok(Category::Netlist),
-                "graph" => Ok(Category::Graph),
-                "spec" => Ok(Category::Spec),
-                other => Err(DeError(format!("unknown category `{other}`"))),
-            },
-            _ => Err(DeError::expected("category string")),
-        }
-    }
-}
-
-impl Serialize for Diagnostic {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("code", self.code.to_value()),
-            ("severity", self.severity.to_value()),
-            ("category", self.category.to_value()),
-            ("message", self.message.to_value()),
-            ("subject", self.subject.to_value()),
-        ];
-        // Omitted when absent, like the spec layer's optional fields.
-        if let Some(at) = &self.provenance {
-            entries.push(("provenance", at.to_value()));
-        }
-        object(entries)
-    }
-}
-
-impl Deserialize for Diagnostic {
-    fn from_value(value: &Value) -> Result<Diagnostic, DeError> {
-        let Value::Object(entries) = value else {
-            return Err(DeError::expected("diagnostic object"));
-        };
-        Ok(Diagnostic {
-            code: Deserialize::from_value(serde::field(entries, "code")?)?,
-            severity: Deserialize::from_value(serde::field(entries, "severity")?)?,
-            category: Deserialize::from_value(serde::field(entries, "category")?)?,
-            message: Deserialize::from_value(serde::field(entries, "message")?)?,
-            subject: Deserialize::from_value(serde::field(entries, "subject")?)?,
-            provenance: match serde::field(entries, "provenance") {
-                Ok(Value::Null) | Err(_) => None,
-                Ok(v) => Some(Deserialize::from_value(v)?),
-            },
-        })
-    }
-}
-
-impl Serialize for LintFailure {
-    fn to_value(&self) -> Value {
-        object(vec![
-            ("pass", self.pass.to_value()),
-            ("diagnostics", self.diagnostics.to_value()),
-        ])
     }
 }
 

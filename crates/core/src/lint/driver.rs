@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Serialize, Value};
-
 use crate::lint::rules::{mig as mig_rules, netlist as netlist_rules, spec as spec_rules};
 use crate::lint::{Diagnostic, LintContext, LintRule, Severity};
 
@@ -131,7 +129,7 @@ impl LintTotals {
 }
 
 /// One linted subject (a circuit, a spec file) inside a [`LintReport`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct SubjectReport {
     /// What was linted (benchmark name, `synth:` name, file path).
     pub subject: String,
@@ -139,21 +137,14 @@ pub struct SubjectReport {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-impl Serialize for SubjectReport {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("subject".to_owned(), self.subject.to_value()),
-            ("diagnostics".to_owned(), self.diagnostics.to_value()),
-        ])
-    }
-}
-
 /// The machine-readable report `wavecheck --json` emits.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, serde::Serialize)]
 pub struct LintReport {
     /// Report schema version ([`LINT_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// The §IV fan-out limit the netlists were checked against, if any.
+    /// The §IV fan-out limit the netlists were checked against, if any
+    /// (omitted from the JSON when absent).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub fanout_limit: Option<u32>,
     /// Per-subject findings, in lint order.
     pub subjects: Vec<SubjectReport>,
@@ -183,18 +174,6 @@ impl LintReport {
     /// Whether the report carries no error-severity diagnostics.
     pub fn is_clean(&self) -> bool {
         self.totals.errors == 0
-    }
-}
-
-impl Serialize for LintReport {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![("schema_version".to_owned(), self.schema_version.to_value())];
-        if let Some(limit) = self.fanout_limit {
-            entries.push(("fanout_limit".to_owned(), limit.to_value()));
-        }
-        entries.push(("subjects".to_owned(), self.subjects.to_value()));
-        entries.push(("totals".to_owned(), self.totals.to_value()));
-        Value::Object(entries)
     }
 }
 

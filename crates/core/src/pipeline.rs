@@ -273,8 +273,7 @@ pub trait Pass: Sync + Send {
 }
 
 /// Per-pass instrumentation record.
-#[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct PassStats {
     /// Pass name.
     pub pass: String,
@@ -752,7 +751,8 @@ fn price(trace: &mut [PassStats], outputs: &[[usize; 2]], table: &CostTable) {
 }
 
 /// Buffer-insertion strategy selector for [`FlowPipelineBuilder`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum BufferStrategy {
     /// Algorithm 1 against ASAP levels (the paper's reference).
     Asap,

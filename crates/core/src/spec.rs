@@ -133,7 +133,8 @@ impl std::error::Error for SpecError {}
 /// `MapNotFirst` / `DuplicateMap` mistakes — though a rewrite listed
 /// *after* a netlist pass still fails compilation with
 /// [`PipelineError::RewriteAfterMap`]).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "pass", rename_all = "snake_case")]
 pub enum PassSpec {
     /// Depth-oriented MIG rewrite (Ω.A/Ω.D, `mig::optimize_depth`);
     /// must precede every netlist pass.
@@ -163,6 +164,7 @@ pub enum PassSpec {
     /// area under the run's cost model.
     RestrictFanoutCostAware,
     /// Buffer insertion with the chosen strategy.
+    #[serde(content = "strategy")]
     InsertBuffers(BufferStrategy),
     /// Unit-delay balance verification (plus the fan-out bound when
     /// given).
@@ -171,6 +173,7 @@ pub enum PassSpec {
         fanout_limit: Option<u32>,
     },
     /// Weighted-delay balance verification.
+    #[serde(content = "weights")]
     VerifyWeighted(DelayWeights),
     /// Cost-aware balance verification against the run's cost model.
     VerifyCostAware {
@@ -214,7 +217,7 @@ impl PassSpec {
 /// [`PipelineSpec::build`]; two specs that compile to the same passes
 /// share a [`PipelineSpec::content_hash`], which is the pipeline axis
 /// of the engine's cache key.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PipelineSpec {
     /// Map with inversion-count minimization instead of the reference
     /// mapping.
@@ -225,7 +228,9 @@ pub struct PipelineSpec {
     /// boundary differentially re-checks the working netlist against
     /// the source MIG under this policy (see
     /// [`crate::differential::check`]); a pass that breaks the function
-    /// fails the run with a counterexample naming it.
+    /// fails the run with a counterexample naming it. Omitted from the
+    /// JSON when off, so ungated specs keep their pre-gate content hash.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub equivalence_gate: Option<EquivalencePolicy>,
 }
 
@@ -575,16 +580,17 @@ impl CircuitSpec {
 /// experiment opts into a bounded LRU without code. `None` keeps the
 /// engine default; the `WAVEPIPE_CACHE_CAPACITY` environment knob
 /// overrides both (see [`crate::Engine::for_spec`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheSpec {
     /// LRU entry bound; `Some(0)` disables caching.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub capacity: Option<usize>,
 }
 
 /// A complete, serializable experiment description: pipeline ×
 /// technologies × circuits. See the [module docs](self) for the
 /// round-trip guarantee and [`crate::Engine::run`] for execution.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FlowSpec {
     /// Experiment name (shows up in results and traces).
     pub name: String,
@@ -598,6 +604,7 @@ pub struct FlowSpec {
     /// Cache configuration for [`crate::Engine::for_spec`]; `None`
     /// keeps the engine defaults (and keeps the spec's JSON and content
     /// hash exactly as they were before this field existed).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub cache: Option<CacheSpec>,
 }
 
@@ -758,9 +765,6 @@ fn hash_value(value: &Value, h: &mut Fnv) {
     }
 }
 
-// --- serde: hand-rolled because the vendored mini-serde derive cannot
-// --- express data-carrying enums (see vendor/serde_derive).
-
 fn object(entries: Vec<(&str, Value)>) -> Value {
     Value::Object(
         entries
@@ -770,184 +774,8 @@ fn object(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-impl Serialize for BufferStrategy {
-    fn to_value(&self) -> Value {
-        match self {
-            BufferStrategy::Asap => Value::Str("asap".to_owned()),
-            BufferStrategy::Retimed => Value::Str("retimed".to_owned()),
-            BufferStrategy::CostAware => Value::Str("cost_aware".to_owned()),
-            BufferStrategy::Weighted(weights) => object(vec![("weighted", weights.to_value())]),
-        }
-    }
-}
-
-impl Deserialize for BufferStrategy {
-    fn from_value(value: &Value) -> Result<BufferStrategy, DeError> {
-        match value {
-            Value::Str(s) => match s.as_str() {
-                "asap" => Ok(BufferStrategy::Asap),
-                "retimed" => Ok(BufferStrategy::Retimed),
-                "cost_aware" => Ok(BufferStrategy::CostAware),
-                other => Err(DeError(format!("unknown buffer strategy `{other}`"))),
-            },
-            Value::Object(entries) => {
-                let weights = serde::field(entries, "weighted")?;
-                Ok(BufferStrategy::Weighted(Deserialize::from_value(weights)?))
-            }
-            _ => Err(DeError::expected("buffer strategy")),
-        }
-    }
-}
-
-impl Serialize for PassSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            PassSpec::OptimizeDepth { max_rounds } => object(vec![
-                ("pass", Value::Str("optimize_depth".to_owned())),
-                ("max_rounds", (*max_rounds as u64).to_value()),
-            ]),
-            PassSpec::OptimizeSize { max_rounds } => object(vec![
-                ("pass", Value::Str("optimize_size".to_owned())),
-                ("max_rounds", (*max_rounds as u64).to_value()),
-            ]),
-            PassSpec::OptimizeCostAware { max_rounds } => object(vec![
-                ("pass", Value::Str("optimize_cost_aware".to_owned())),
-                ("max_rounds", (*max_rounds as u64).to_value()),
-            ]),
-            PassSpec::RestrictFanout { limit } => object(vec![
-                ("pass", Value::Str("restrict_fanout".to_owned())),
-                ("limit", limit.to_value()),
-            ]),
-            PassSpec::RestrictFanoutCostAware => object(vec![(
-                "pass",
-                Value::Str("restrict_fanout_cost_aware".to_owned()),
-            )]),
-            PassSpec::InsertBuffers(strategy) => object(vec![
-                ("pass", Value::Str("insert_buffers".to_owned())),
-                ("strategy", strategy.to_value()),
-            ]),
-            PassSpec::Verify { fanout_limit } => object(vec![
-                ("pass", Value::Str("verify".to_owned())),
-                ("fanout_limit", fanout_limit.to_value()),
-            ]),
-            PassSpec::VerifyWeighted(weights) => object(vec![
-                ("pass", Value::Str("verify_weighted".to_owned())),
-                ("weights", weights.to_value()),
-            ]),
-            PassSpec::VerifyCostAware { fanout_limit } => object(vec![
-                ("pass", Value::Str("verify_cost_aware".to_owned())),
-                ("fanout_limit", fanout_limit.to_value()),
-            ]),
-            PassSpec::CheckFanoutBound { limit } => object(vec![
-                ("pass", Value::Str("check_fanout_bound".to_owned())),
-                ("limit", limit.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for PassSpec {
-    fn from_value(value: &Value) -> Result<PassSpec, DeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object for PassSpec"))?;
-        let tag: String = Deserialize::from_value(serde::field(entries, "pass")?)?;
-        let max_rounds = |entries: &[(String, Value)]| -> Result<usize, DeError> {
-            let rounds: u64 = Deserialize::from_value(serde::field(entries, "max_rounds")?)?;
-            Ok(rounds as usize)
-        };
-        match tag.as_str() {
-            "optimize_depth" => Ok(PassSpec::OptimizeDepth {
-                max_rounds: max_rounds(entries)?,
-            }),
-            "optimize_size" => Ok(PassSpec::OptimizeSize {
-                max_rounds: max_rounds(entries)?,
-            }),
-            "optimize_cost_aware" => Ok(PassSpec::OptimizeCostAware {
-                max_rounds: max_rounds(entries)?,
-            }),
-            "restrict_fanout" => Ok(PassSpec::RestrictFanout {
-                limit: Deserialize::from_value(serde::field(entries, "limit")?)?,
-            }),
-            "restrict_fanout_cost_aware" => Ok(PassSpec::RestrictFanoutCostAware),
-            "insert_buffers" => Ok(PassSpec::InsertBuffers(Deserialize::from_value(
-                serde::field(entries, "strategy")?,
-            )?)),
-            "verify" => Ok(PassSpec::Verify {
-                fanout_limit: Deserialize::from_value(serde::field(entries, "fanout_limit")?)?,
-            }),
-            "verify_weighted" => Ok(PassSpec::VerifyWeighted(Deserialize::from_value(
-                serde::field(entries, "weights")?,
-            )?)),
-            "verify_cost_aware" => Ok(PassSpec::VerifyCostAware {
-                fanout_limit: Deserialize::from_value(serde::field(entries, "fanout_limit")?)?,
-            }),
-            "check_fanout_bound" => Ok(PassSpec::CheckFanoutBound {
-                limit: Deserialize::from_value(serde::field(entries, "limit")?)?,
-            }),
-            other => Err(DeError(format!("unknown pass `{other}`"))),
-        }
-    }
-}
-
-/// Value form of an [`EquivalencePolicy`] (free functions instead of
-/// trait impls: the policy type lives in the `mig` crate, so the orphan
-/// rule forbids implementing the vendored serde traits for it here).
-fn policy_to_value(policy: &EquivalencePolicy) -> Value {
-    object(vec![
-        ("exhaustive_inputs", policy.exhaustive_inputs.to_value()),
-        ("rounds", (policy.rounds as u64).to_value()),
-        ("seed", policy.seed.to_value()),
-    ])
-}
-
-fn policy_from_value(value: &Value) -> Result<EquivalencePolicy, DeError> {
-    let entries = value
-        .as_object()
-        .ok_or_else(|| DeError::expected("object for EquivalencePolicy"))?;
-    let rounds: u64 = Deserialize::from_value(serde::field(entries, "rounds")?)?;
-    Ok(EquivalencePolicy {
-        exhaustive_inputs: Deserialize::from_value(serde::field(entries, "exhaustive_inputs")?)?,
-        rounds: rounds as usize,
-        seed: Deserialize::from_value(serde::field(entries, "seed")?)?,
-    })
-}
-
-impl Serialize for PipelineSpec {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("minimize_inverters", self.minimize_inverters.to_value()),
-            ("passes", self.passes.to_value()),
-        ];
-        // Omitted when off, so ungated specs (and their content hashes)
-        // serialize exactly as they did before the gate existed.
-        if let Some(policy) = &self.equivalence_gate {
-            entries.push(("equivalence_gate", policy_to_value(policy)));
-        }
-        object(entries)
-    }
-}
-
-impl Deserialize for PipelineSpec {
-    fn from_value(value: &Value) -> Result<PipelineSpec, DeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object for PipelineSpec"))?;
-        let equivalence_gate = match serde::field(entries, "equivalence_gate") {
-            Ok(Value::Null) | Err(_) => None,
-            Ok(v) => Some(policy_from_value(v)?),
-        };
-        Ok(PipelineSpec {
-            minimize_inverters: Deserialize::from_value(serde::field(
-                entries,
-                "minimize_inverters",
-            )?)?,
-            passes: Deserialize::from_value(serde::field(entries, "passes")?)?,
-            equivalence_gate,
-        })
-    }
-}
-
+// Hand-written: deserializing canonicalizes the params (sorted by key)
+// and rejects duplicate keys, which a derived shape cannot do.
 impl Serialize for SynthSpec {
     fn to_value(&self) -> Value {
         object(vec![
@@ -993,6 +821,8 @@ impl Deserialize for SynthSpec {
     }
 }
 
+// Hand-written: a circuit is a bare name, an inline `{name, mig}` object
+// or a `{synth}` object, and no derived shape covers that union.
 impl Serialize for CircuitSpec {
     fn to_value(&self) -> Value {
         match self {
@@ -1022,65 +852,6 @@ impl Deserialize for CircuitSpec {
                 "circuit name, inline object or synth object",
             )),
         }
-    }
-}
-
-impl Serialize for CacheSpec {
-    fn to_value(&self) -> Value {
-        let mut entries = Vec::new();
-        if let Some(capacity) = self.capacity {
-            entries.push(("capacity", (capacity as u64).to_value()));
-        }
-        object(entries)
-    }
-}
-
-impl Deserialize for CacheSpec {
-    fn from_value(value: &Value) -> Result<CacheSpec, DeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object for CacheSpec"))?;
-        let capacity = match serde::field(entries, "capacity") {
-            Ok(Value::Null) | Err(_) => None,
-            Ok(v) => Some(Deserialize::from_value(v)?),
-        };
-        Ok(CacheSpec { capacity })
-    }
-}
-
-impl Serialize for FlowSpec {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("name", self.name.to_value()),
-            ("pipeline", self.pipeline.to_value()),
-            ("technologies", self.technologies.to_value()),
-            ("circuits", self.circuits.to_value()),
-        ];
-        // Omitted when unset, so cache-less specs (and their content
-        // hashes) serialize exactly as they did before the knob existed.
-        if let Some(cache) = &self.cache {
-            entries.push(("cache", cache.to_value()));
-        }
-        object(entries)
-    }
-}
-
-impl Deserialize for FlowSpec {
-    fn from_value(value: &Value) -> Result<FlowSpec, DeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object for FlowSpec"))?;
-        let cache = match serde::field(entries, "cache") {
-            Ok(Value::Null) | Err(_) => None,
-            Ok(v) => Some(Deserialize::from_value(v)?),
-        };
-        Ok(FlowSpec {
-            name: Deserialize::from_value(serde::field(entries, "name")?)?,
-            pipeline: Deserialize::from_value(serde::field(entries, "pipeline")?)?,
-            technologies: Deserialize::from_value(serde::field(entries, "technologies")?)?,
-            circuits: Deserialize::from_value(serde::field(entries, "circuits")?)?,
-            cache,
-        })
     }
 }
 
@@ -1331,6 +1102,19 @@ mod tests {
                              "params":{"n":1,"n":2}}}]}"#
         )
         .is_err());
+    }
+
+    #[test]
+    fn escaped_non_bmp_circuit_names_parse() {
+        // Python's `json.dumps` escapes every non-BMP character as a
+        // `\u` surrogate pair.
+        let spec = FlowSpec::from_json(
+            r#"{"name":"emoji","pipeline":{"minimize_inverters":false,"passes":[]},
+                "technologies":[],"circuits":["adder \ud83e\udd80"]}"#,
+        )
+        .unwrap();
+        assert_eq!(spec.circuits, [CircuitSpec::Named("adder 🦀".to_owned())]);
+        assert_eq!(FlowSpec::from_json(&spec.to_json()).unwrap(), spec);
     }
 
     #[test]

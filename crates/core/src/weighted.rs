@@ -143,8 +143,7 @@ impl fmt::Display for WeightedBalanceError {
 impl std::error::Error for WeightedBalanceError {}
 
 /// Statistics of a weighted balancing run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WeightedInsertion {
     /// Buffers inserted.
     pub buffers: usize,

@@ -14,12 +14,15 @@
 //! grid order) and exactly one terminal `done` or `error` event:
 //!
 //! ```json
-//! {"id":1,"event":"cell","circuit":0,"technology":null,"cached":false,
+//! {"event":"cell","id":1,"circuit":0,"technology":null,"cached":false,
 //!  "ok":true,"depth":24,"waves_in_flight":8,"max_fanout":3,
-//!  "components":512,"passes":4}
-//! {"id":1,"event":"done","cells":1,"failed":0,"coalesced":false,
+//!  "components":512,"passes":4,"error":null}
+//! {"event":"done","id":1,"cells":1,"failed":0,"coalesced":false,
 //!  "circuits":["SASC"],"technologies":[],"stats":{...}}
 //! ```
+//!
+//! Every event leads with its `event` tag; both sides look fields up by
+//! name, so member order carries no meaning.
 //!
 //! Responses carry the request's `id`, so clients may pipeline many
 //! requests on one connection and match events by id. Cell events are
@@ -35,7 +38,8 @@ use crate::server::ServeConfig;
 pub const PROTOCOL_VERSION: u64 = 1;
 
 /// A control verb (a request line with `"control"` instead of `"spec"`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Control {
     /// Liveness probe; answered with a `pong` event.
     Ping,
@@ -44,25 +48,6 @@ pub enum Control {
     /// Ask the daemon to drain and exit; answered with a
     /// `shutting_down` event before the drain starts.
     Shutdown,
-}
-
-impl Control {
-    fn tag(self) -> &'static str {
-        match self {
-            Control::Ping => "ping",
-            Control::Stats => "stats",
-            Control::Shutdown => "shutdown",
-        }
-    }
-
-    fn parse(tag: &str) -> Result<Control, DeError> {
-        match tag {
-            "ping" => Ok(Control::Ping),
-            "stats" => Ok(Control::Stats),
-            "shutdown" => Ok(Control::Shutdown),
-            other => Err(DeError(format!("unknown control verb `{other}`"))),
-        }
-    }
 }
 
 /// One request line.
@@ -74,32 +59,20 @@ pub enum Request {
     Control { id: u64, control: Control },
 }
 
-fn object(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
-fn compact(value: &Value) -> String {
-    serde_json::to_string(value).expect("value trees always render")
-}
-
+// Hand-written: `Request::parse` reports the spec's own error, which an
+// untagged derive would hide behind "no variant matched".
 impl Request {
     /// Serializes to one compact JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
-        match self {
-            Request::Run { id, spec } => compact(&object(vec![
-                ("id", Value::UInt(*id)),
-                ("spec", spec.to_value()),
-            ])),
-            Request::Control { id, control } => compact(&object(vec![
-                ("id", Value::UInt(*id)),
-                ("control", Value::Str(control.tag().to_owned())),
-            ])),
-        }
+        let (id, key, value) = match self {
+            Request::Run { id, spec } => (id, "spec", spec.to_value()),
+            Request::Control { id, control } => (id, "control", control.to_value()),
+        };
+        let line = Value::Object(vec![
+            ("id".to_owned(), Value::UInt(*id)),
+            (key.to_owned(), value),
+        ]);
+        serde_json::to_string(&line).expect("value trees always render")
     }
 
     /// Parses one request line.
@@ -119,11 +92,8 @@ impl Request {
             return Ok(Request::Run { id, spec });
         }
         if let Ok(control) = serde::field(fields, "control") {
-            let tag: String = Deserialize::from_value(control)?;
-            return Ok(Request::Control {
-                id,
-                control: Control::parse(&tag)?,
-            });
+            let control = Control::from_value(control)?;
+            return Ok(Request::Control { id, control });
         }
         Err(DeError::expected("`spec` or `control` in request"))
     }
@@ -131,7 +101,7 @@ impl Request {
 
 /// Server-side counters reported by the `stats` control and the
 /// daemon's shutdown summary.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeMetrics {
     /// Run requests accepted off the wire.
     pub requests: u64,
@@ -155,92 +125,9 @@ pub struct ServeMetrics {
     pub engine: EngineStats,
 }
 
-pub(crate) fn stats_to_value(stats: &EngineStats) -> Value {
-    object(vec![
-        ("cache_hits", Value::UInt(stats.cache_hits)),
-        ("cache_misses", Value::UInt(stats.cache_misses)),
-        ("passes_executed", Value::UInt(stats.passes_executed)),
-        ("evictions", Value::UInt(stats.evictions)),
-    ])
-}
-
-pub(crate) fn stats_from_value(value: &Value) -> Result<EngineStats, DeError> {
-    let fields = value
-        .as_object()
-        .ok_or_else(|| DeError::expected("engine stats object"))?;
-    let counter = |name: &str| -> Result<u64, DeError> {
-        Deserialize::from_value(serde::field(fields, name)?)
-    };
-    Ok(EngineStats {
-        cache_hits: counter("cache_hits")?,
-        cache_misses: counter("cache_misses")?,
-        passes_executed: counter("passes_executed")?,
-        evictions: counter("evictions")?,
-    })
-}
-
-fn config_to_value(config: &ServeConfig) -> Value {
-    object(vec![
-        ("workers", Value::UInt(config.workers as u64)),
-        ("queue_depth", Value::UInt(config.queue_depth as u64)),
-        ("client_queue", Value::UInt(config.client_queue as u64)),
-        ("shed_slow_clients", Value::Bool(config.shed_slow_clients)),
-    ])
-}
-
-fn config_from_value(value: &Value) -> Result<ServeConfig, DeError> {
-    let fields = value
-        .as_object()
-        .ok_or_else(|| DeError::expected("serve config object"))?;
-    let size = |name: &str| -> Result<usize, DeError> {
-        Deserialize::from_value(serde::field(fields, name)?)
-    };
-    Ok(ServeConfig {
-        workers: size("workers")?,
-        queue_depth: size("queue_depth")?,
-        client_queue: size("client_queue")?,
-        shed_slow_clients: Deserialize::from_value(serde::field(fields, "shed_slow_clients")?)?,
-    })
-}
-
-fn metrics_to_value(metrics: &ServeMetrics) -> Value {
-    object(vec![
-        ("requests", Value::UInt(metrics.requests)),
-        ("completed", Value::UInt(metrics.completed)),
-        ("failed", Value::UInt(metrics.failed)),
-        ("rejected", Value::UInt(metrics.rejected)),
-        ("coalesced", Value::UInt(metrics.coalesced)),
-        ("executed", Value::UInt(metrics.executed)),
-        ("cells_streamed", Value::UInt(metrics.cells_streamed)),
-        ("cells_shed", Value::UInt(metrics.cells_shed)),
-        ("clients", Value::UInt(metrics.clients)),
-        ("engine", stats_to_value(&metrics.engine)),
-    ])
-}
-
-fn metrics_from_value(value: &Value) -> Result<ServeMetrics, DeError> {
-    let fields = value
-        .as_object()
-        .ok_or_else(|| DeError::expected("serve metrics object"))?;
-    let counter = |name: &str| -> Result<u64, DeError> {
-        Deserialize::from_value(serde::field(fields, name)?)
-    };
-    Ok(ServeMetrics {
-        requests: counter("requests")?,
-        completed: counter("completed")?,
-        failed: counter("failed")?,
-        rejected: counter("rejected")?,
-        coalesced: counter("coalesced")?,
-        executed: counter("executed")?,
-        cells_streamed: counter("cells_streamed")?,
-        cells_shed: counter("cells_shed")?,
-        clients: counter("clients")?,
-        engine: stats_from_value(serde::field(fields, "engine")?)?,
-    })
-}
-
-/// One response line.
-#[derive(Clone, Debug)]
+/// One response line, tagged by its `event` key.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(tag = "event", rename_all = "snake_case")]
 pub enum Event {
     /// One grid cell of a run completed (streaming; may be shed).
     Cell {
@@ -295,154 +182,20 @@ pub enum Event {
     ShuttingDown { id: u64 },
 }
 
-fn opt_u64(value: Option<u64>) -> Value {
-    value.map_or(Value::Null, Value::UInt)
-}
-
-fn from_opt_u64(value: &Value) -> Result<Option<u64>, DeError> {
-    match value {
-        Value::Null => Ok(None),
-        other => Deserialize::from_value(other).map(Some),
-    }
-}
-
 impl Event {
     /// Serializes to one compact JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let value = match self {
-            Event::Cell {
-                id,
-                circuit,
-                technology,
-                cached,
-                ok,
-                depth,
-                waves_in_flight,
-                max_fanout,
-                components,
-                passes,
-                error,
-            } => object(vec![
-                ("id", Value::UInt(*id)),
-                ("event", Value::Str("cell".to_owned())),
-                ("circuit", Value::UInt(*circuit)),
-                ("technology", opt_u64(*technology)),
-                ("cached", Value::Bool(*cached)),
-                ("ok", Value::Bool(*ok)),
-                ("depth", opt_u64(*depth)),
-                ("waves_in_flight", opt_u64(*waves_in_flight)),
-                ("max_fanout", opt_u64(*max_fanout)),
-                ("components", opt_u64(*components)),
-                ("passes", Value::UInt(*passes)),
-                (
-                    "error",
-                    error
-                        .as_ref()
-                        .map_or(Value::Null, |e| Value::Str(e.clone())),
-                ),
-            ]),
-            Event::Done {
-                id,
-                cells,
-                failed,
-                coalesced,
-                circuits,
-                technologies,
-                stats,
-            } => object(vec![
-                ("id", Value::UInt(*id)),
-                ("event", Value::Str("done".to_owned())),
-                ("cells", Value::UInt(*cells)),
-                ("failed", Value::UInt(*failed)),
-                ("coalesced", Value::Bool(*coalesced)),
-                (
-                    "circuits",
-                    Value::Array(circuits.iter().map(|c| Value::Str(c.clone())).collect()),
-                ),
-                (
-                    "technologies",
-                    Value::Array(technologies.iter().map(|t| Value::Str(t.clone())).collect()),
-                ),
-                ("stats", stats_to_value(stats)),
-            ]),
-            Event::Error { id, message } => object(vec![
-                ("id", Value::UInt(*id)),
-                ("event", Value::Str("error".to_owned())),
-                ("message", Value::Str(message.clone())),
-            ]),
-            Event::Pong { id } => object(vec![
-                ("id", Value::UInt(*id)),
-                ("event", Value::Str("pong".to_owned())),
-            ]),
-            Event::Stats {
-                id,
-                config,
-                metrics,
-            } => object(vec![
-                ("id", Value::UInt(*id)),
-                ("event", Value::Str("stats".to_owned())),
-                ("config", config_to_value(config)),
-                ("metrics", metrics_to_value(metrics)),
-            ]),
-            Event::ShuttingDown { id } => object(vec![
-                ("id", Value::UInt(*id)),
-                ("event", Value::Str("shutting_down".to_owned())),
-            ]),
-        };
-        compact(&value)
+        serde_json::to_string(self).expect("events always serialize")
     }
 
     /// Parses one response line.
     ///
     /// # Errors
     ///
-    /// [`DeError`] on malformed JSON or an unknown event tag.
+    /// [`DeError`] on malformed JSON, an unknown event tag or a field
+    /// of the wrong shape.
     pub fn parse(line: &str) -> Result<Event, DeError> {
-        let value: Value = serde_json::from_str(line).map_err(|e| DeError(e.to_string()))?;
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("event object"))?;
-        let id: u64 = Deserialize::from_value(serde::field(fields, "id")?)?;
-        let event: String = Deserialize::from_value(serde::field(fields, "event")?)?;
-        match event.as_str() {
-            "cell" => Ok(Event::Cell {
-                id,
-                circuit: Deserialize::from_value(serde::field(fields, "circuit")?)?,
-                technology: from_opt_u64(serde::field(fields, "technology")?)?,
-                cached: Deserialize::from_value(serde::field(fields, "cached")?)?,
-                ok: Deserialize::from_value(serde::field(fields, "ok")?)?,
-                depth: from_opt_u64(serde::field(fields, "depth")?)?,
-                waves_in_flight: from_opt_u64(serde::field(fields, "waves_in_flight")?)?,
-                max_fanout: from_opt_u64(serde::field(fields, "max_fanout")?)?,
-                components: from_opt_u64(serde::field(fields, "components")?)?,
-                passes: Deserialize::from_value(serde::field(fields, "passes")?)?,
-                error: match serde::field(fields, "error")? {
-                    Value::Null => None,
-                    other => Some(Deserialize::from_value(other)?),
-                },
-            }),
-            "done" => Ok(Event::Done {
-                id,
-                cells: Deserialize::from_value(serde::field(fields, "cells")?)?,
-                failed: Deserialize::from_value(serde::field(fields, "failed")?)?,
-                coalesced: Deserialize::from_value(serde::field(fields, "coalesced")?)?,
-                circuits: Deserialize::from_value(serde::field(fields, "circuits")?)?,
-                technologies: Deserialize::from_value(serde::field(fields, "technologies")?)?,
-                stats: stats_from_value(serde::field(fields, "stats")?)?,
-            }),
-            "error" => Ok(Event::Error {
-                id,
-                message: Deserialize::from_value(serde::field(fields, "message")?)?,
-            }),
-            "pong" => Ok(Event::Pong { id }),
-            "stats" => Ok(Event::Stats {
-                id,
-                config: config_from_value(serde::field(fields, "config")?)?,
-                metrics: metrics_from_value(serde::field(fields, "metrics")?)?,
-            }),
-            "shutting_down" => Ok(Event::ShuttingDown { id }),
-            other => Err(DeError(format!("unknown event `{other}`"))),
-        }
+        serde_json::from_str(line).map_err(|e| DeError(e.to_string()))
     }
 
     /// The request id the event answers.

@@ -49,7 +49,7 @@ const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// Daemon tuning knobs. Every field has a `WAVEPIPE_SERVE_*`
 /// environment override — see [`ServeConfig::from_env`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
 pub struct ServeConfig {
     /// Worker threads executing specs (`WAVEPIPE_SERVE_WORKERS`).
     pub workers: usize,
