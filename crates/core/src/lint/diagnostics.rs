@@ -88,8 +88,7 @@ pub struct Diagnostic {
     pub subject: String,
     /// Where inside the subject, when the rule can point at one place:
     /// a component id (`c42`), a MIG node (`n7`), an output port name,
-    /// a pass position (`passes[2]`) or a technology name. Omitted from
-    /// the JSON when absent.
+    /// a pass position (`passes[2]`) or a technology name.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub provenance: Option<String>,
 }

@@ -142,8 +142,7 @@ pub struct SubjectReport {
 pub struct LintReport {
     /// Report schema version ([`LINT_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// The §IV fan-out limit the netlists were checked against, if any
-    /// (omitted from the JSON when absent).
+    /// The §IV fan-out limit the netlists were checked against, if any.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub fanout_limit: Option<u32>,
     /// Per-subject findings, in lint order.
