@@ -774,8 +774,7 @@ fn object(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-// Hand-written: deserializing canonicalizes the params (sorted by key)
-// and rejects duplicate keys, which a derived shape cannot do.
+// Hand-written: deserializing sorts the params and rejects duplicate keys.
 impl Serialize for SynthSpec {
     fn to_value(&self) -> Value {
         object(vec![
@@ -821,8 +820,7 @@ impl Deserialize for SynthSpec {
     }
 }
 
-// Hand-written: a circuit is a bare name, an inline `{name, mig}` object
-// or a `{synth}` object, and no derived shape covers that union.
+// Hand-written: a name, an inline object or `{synth}`; no derived shape covers that.
 impl Serialize for CircuitSpec {
     fn to_value(&self) -> Value {
         match self {

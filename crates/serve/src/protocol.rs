@@ -59,8 +59,7 @@ pub enum Request {
     Control { id: u64, control: Control },
 }
 
-// Hand-written: `Request::parse` reports the spec's own error, which an
-// untagged derive would hide behind "no variant matched".
+// Hand-written: `parse` reports the spec's own error, which an untagged derive would hide.
 impl Request {
     /// Serializes to one compact JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
