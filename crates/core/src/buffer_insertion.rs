@@ -1,30 +1,43 @@
-//! Buffer insertion — Algorithm 1 of the paper (§III).
+//! Buffer insertion — Algorithm 1 of the paper (§III), the one
+//! path-balancing kernel behind every buffer strategy.
 //!
 //! Balances every path of the netlist so that (a) all paths between any
 //! two connected components have equal length and (b) all primary
 //! outputs sit at the same base distance. After the pass, **every edge
-//! spans exactly one level**, which is the static condition for coherent
-//! wave propagation under the three-phase clock of Fig 4.
+//! spans exactly one level** (one weight, in general), which is the
+//! static condition for coherent wave propagation under the three-phase
+//! clock of Fig 4.
 //!
-//! The implementation follows the paper's greedy: for each driving
-//! component, its fan-out is sorted by the consumers' maximum exclusive
-//! base distance (`getMaxxBD` / `sortFanOut` in Algorithm 1) and a
-//! *single shared chain* of buffers is grown off the driver, with each
-//! consumer tapping the chain at the level just below its own
-//! (`lastBD` in the pseudocode tracks the chain head). Sharing one chain
-//! instead of one chain per edge is what makes the greedy
-//! buffer-minimal for the fixed (ASAP) level assignment, and it never
-//! violates a fan-out bound `k ≥ 2` that the input netlist already
-//! satisfies: a chain tap drives the consumers of one level plus at most
-//! one next-chain buffer, which is at most the driver's original
-//! fan-out.
+//! The kernel (`balance_paths`) follows the paper's greedy: for each
+//! driving component, its fan-out is sorted by the arrival each
+//! consumer needs it at (`getMaxxBD` / `sortFanOut` in Algorithm 1) and
+//! a *single shared chain* of buffers is grown off the driver, with each
+//! consumer tapping the chain where it reaches that arrival (`lastBD` in
+//! the pseudocode tracks the chain head). Sharing one chain instead of
+//! one chain per edge is what makes the greedy buffer-minimal for a
+//! fixed arrival assignment, and it never violates a fan-out bound
+//! `k ≥ 2` that the input netlist already satisfies: a chain tap drives
+//! the consumers of one arrival plus at most one next-chain buffer,
+//! which is at most the driver's original fan-out.
 //!
 //! Primary outputs are handled in the same sweep by treating each output
-//! as a pseudo-consumer at `max BD(outputs) + 1` (the algorithm's final
-//! padding loop, lines 11–14).
+//! as a pseudo-consumer that needs its driver at the deepest output
+//! arrival (the algorithm's final padding loop, lines 11–14).
+//!
+//! The kernel has two inputs besides the netlist: an arrival time per
+//! component and the [`DelayWeights`]. A consumer needs its driver at
+//! `arrival(consumer) − weight(consumer)`, and the chain grows in steps
+//! of `weights.buf`. Every [`BufferStrategy`] is one choice of the two:
+//! ASAP levels or hill-climbed retimed levels under
+//! [`DelayWeights::UNIT`], weighted arrivals under explicit weights, or
+//! the phase weights of the run's cost model (see [`crate::weighted`]).
+
+use std::sync::Arc;
 
 use crate::component::{CompId, ComponentKind};
 use crate::netlist::Netlist;
+use crate::pipeline::{BufferStrategy, FlowContext, Pass, PassError, PassKind};
+use crate::weighted::{DelayWeights, WeightedBalanceError};
 
 /// Statistics returned by [`insert_buffers`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -88,91 +101,128 @@ pub fn insert_buffers(netlist: &mut Netlist) -> BufferInsertion {
 /// Panics if `levels` is infeasible or shorter than the netlist.
 pub fn insert_buffers_with_levels(netlist: &mut Netlist, levels: &[u32]) -> BufferInsertion {
     let fanout = netlist.fanout_edges();
-    insert_buffers_prepared(netlist, levels, &fanout)
+    balance_paths(netlist, levels, &DelayWeights::UNIT, &fanout)
+        .expect("unit-weight buffers tile every gap")
 }
 
-/// [`insert_buffers_with_levels`] against an already-computed fan-out
-/// edge snapshot, so pipeline passes holding a fresh
-/// [`StructuralCaches`](crate::netlist::StructuralCaches) view don't
-/// recompute it.
+/// Algorithm 1's shared-chain greedy against `arrival` under `weights`
+/// — the one function that grows buffer chains.
+///
+/// A consumer `c` needs its driver at `arrival[c] − weight(c)`, and
+/// every non-constant output needs its driver at the deepest
+/// non-constant output arrival, which is also the returned depth. The
+/// returned statistics split the buffers by the use they were grown
+/// for.
+///
+/// # Errors
+///
+/// [`WeightedBalanceError::ZeroBufferWeight`], or
+/// [`WeightedBalanceError::IndivisibleGap`] when a gap is not a multiple
+/// of `weights.buf`. Every gap is checked before the first buffer is
+/// added, so the netlist is untouched on error.
 ///
 /// # Panics
 ///
-/// As [`insert_buffers_with_levels`]; additionally if `fanout` does not
-/// cover every component.
-pub fn insert_buffers_prepared(
+/// Panics if `arrival` or `fanout` does not cover every component, or
+/// if `arrival` is infeasible (a consumer needs its driver before the
+/// driver arrives).
+pub(crate) fn balance_paths(
     netlist: &mut Netlist,
-    levels: &[u32],
+    arrival: &[u32],
+    weights: &DelayWeights,
     fanout: &[Vec<(CompId, usize)>],
-) -> BufferInsertion {
+) -> Result<BufferInsertion, WeightedBalanceError> {
     assert!(
-        levels.len() >= netlist.len() && fanout.len() >= netlist.len(),
-        "level assignment and fan-out snapshot must cover every component"
+        arrival.len() >= netlist.len() && fanout.len() >= netlist.len(),
+        "arrival times and fan-out snapshot must cover every component"
     );
+    if weights.buf == 0 {
+        return Err(WeightedBalanceError::ZeroBufferWeight);
+    }
+    const INFEASIBLE: &str = "infeasible level assignment: consumer below its driver";
+    let is_const =
+        |netlist: &Netlist, id: CompId| netlist.component(id).kind() == ComponentKind::Const;
+    let required = |netlist: &Netlist, consumer: CompId| {
+        arrival[consumer.index()]
+            .checked_sub(weights.of(netlist.component(consumer).kind()))
+            .expect(INFEASIBLE)
+    };
 
     // The set of drivers to process is inputs ∪ gates, per Algorithm
     // 1's Union — everything present before mutation starts.
     let original_len = netlist.len();
-
-    // Deepest non-constant output level = padding target.
-    let max_output_bd = netlist
-        .outputs()
-        .iter()
-        .filter(|p| netlist.component(p.driver).kind() != ComponentKind::Const)
-        .map(|p| levels[p.driver.index()])
-        .max()
-        .unwrap_or(0);
-
+    // Deepest non-constant output arrival = padding target.
+    let depth = netlist.depth_from_levels(arrival);
     // Output uses per driver (positions into the outputs list).
     let mut output_uses: Vec<Vec<usize>> = vec![Vec::new(); original_len];
-    for (pos, p) in netlist.outputs().iter().enumerate() {
-        output_uses[p.driver.index()].push(pos);
+    for (position, p) in netlist.outputs().iter().enumerate() {
+        output_uses[p.driver.index()].push(position);
     }
 
+    // Heavier buffers may leave gaps no chain can fill: check them all
+    // before mutating anything.
+    if weights.buf > 1 {
+        for idx in 0..original_len {
+            let from = CompId::from_index(idx);
+            if is_const(netlist, from) {
+                continue;
+            }
+            let gate_needs = fanout[idx]
+                .iter()
+                .map(|&(to, _)| (to, required(netlist, to)));
+            let output_needs = output_uses[idx].iter().map(|_| (from, depth));
+            for (to, need) in gate_needs.chain(output_needs) {
+                let gap = need.checked_sub(arrival[idx]).expect(INFEASIBLE);
+                if !gap.is_multiple_of(weights.buf) {
+                    return Err(WeightedBalanceError::IndivisibleGap {
+                        from,
+                        to,
+                        gap,
+                        buf_weight: weights.buf,
+                    });
+                }
+            }
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    enum Use {
+        Gate { consumer: CompId, slot: usize },
+        Output { position: usize },
+    }
     let mut stats = BufferInsertion {
-        depth: max_output_bd,
+        depth,
         ..BufferInsertion::default()
     };
-
+    let mut uses: Vec<(u32, Use)> = Vec::new();
     for idx in 0..original_len {
         let comp = CompId::from_index(idx);
-        if netlist.component(comp).kind() == ComponentKind::Const {
+        if is_const(netlist, comp) {
             continue;
         }
-
-        // Gather consumers: (required driver level, Use). Gate consumers
-        // need a driver at their level − 1; output uses need a driver at
-        // the padding target.
-        enum Use {
-            Gate { consumer: CompId, slot: usize },
-            Output { position: usize },
-        }
-        let mut uses: Vec<(u32, Use)> = fanout[idx]
-            .iter()
-            .map(|&(consumer, slot)| (levels[consumer.index()] - 1, Use::Gate { consumer, slot }))
-            .collect();
-        for &position in &output_uses[idx] {
-            uses.push((max_output_bd, Use::Output { position }));
-        }
-        if uses.is_empty() {
-            continue;
-        }
-
-        // Algorithm 1: sortFanOut by max xBD (ascending required level).
+        uses.clear();
+        uses.extend(
+            fanout[idx].iter().map(|&(consumer, slot)| {
+                (required(netlist, consumer), Use::Gate { consumer, slot })
+            }),
+        );
+        uses.extend(
+            output_uses[idx]
+                .iter()
+                .map(|&position| (depth, Use::Output { position })),
+        );
+        // Algorithm 1: sortFanOut by max xBD (ascending required arrival).
         uses.sort_by_key(|&(required, _)| required);
 
-        // Grow one shared chain; `last_bd` is the level of the chain
-        // head (initially the component itself).
+        // Grow one shared chain; `chain_arrival` is the arrival of the
+        // chain head (initially the component itself).
         let mut chain_head = comp;
-        let mut last_bd = levels[idx];
-        for (required, u) in uses {
-            assert!(
-                required >= levels[idx],
-                "infeasible level assignment: consumer below its driver"
-            );
-            while last_bd < required {
+        let mut chain_arrival = arrival[idx];
+        for &(required, u) in &uses {
+            assert!(required >= arrival[idx], "{INFEASIBLE}");
+            while chain_arrival < required {
                 chain_head = netlist.add_buf(chain_head);
-                last_bd += 1;
+                chain_arrival += weights.buf;
                 match u {
                     Use::Gate { .. } => stats.balancing_buffers += 1,
                     Use::Output { .. } => stats.padding_buffers += 1,
@@ -182,37 +232,59 @@ pub fn insert_buffers_prepared(
                 Use::Gate { consumer, slot } => {
                     netlist.component_mut(consumer).fanins_mut()[slot] = chain_head;
                 }
-                Use::Output { position } => {
-                    netlist.set_output_driver(position, chain_head);
-                }
+                Use::Output { position } => netlist.set_output_driver(position, chain_head),
             }
         }
     }
-    stats
+    Ok(stats)
 }
 
-/// Pipeline pass wrapping [`insert_buffers`] (Algorithm 1 against ASAP
-/// levels — the paper's reference strategy).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BufferInsertionPass;
+/// The one buffer-insertion pass: each [`BufferStrategy`] picks the
+/// arrival times and weights it hands to [`balance_paths`]. Unit-weight
+/// strategies deposit [`BufferInsertion`] statistics in the context;
+/// weighted ones (and cost-aware insertion under non-unit phase
+/// weights) deposit [`crate::WeightedInsertion`] statistics.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct InsertBuffersPass {
+    pub(crate) strategy: BufferStrategy,
+}
 
-impl crate::pipeline::Pass for BufferInsertionPass {
+impl Pass for InsertBuffersPass {
     fn name(&self) -> String {
-        "insert_buffers(asap)".to_owned()
+        let strategy = match self.strategy {
+            BufferStrategy::Asap => "asap",
+            BufferStrategy::Retimed => "retimed",
+            BufferStrategy::Weighted(_) => "weighted",
+            BufferStrategy::CostAware => "cost-aware",
+        };
+        format!("insert_buffers({strategy})")
     }
 
-    fn kind(&self) -> crate::pipeline::PassKind {
-        crate::pipeline::PassKind::BufferInsertion
+    fn kind(&self) -> PassKind {
+        PassKind::BufferInsertion
     }
 
-    fn run(
-        &self,
-        ctx: &mut crate::pipeline::FlowContext<'_>,
-    ) -> Result<(), crate::pipeline::PassError> {
-        let levels = ctx.levels();
+    fn run(&self, ctx: &mut FlowContext<'_>) -> Result<(), PassError> {
+        let weights = match self.strategy {
+            BufferStrategy::Asap | BufferStrategy::Retimed => DelayWeights::UNIT,
+            BufferStrategy::Weighted(weights) => weights,
+            BufferStrategy::CostAware => {
+                DelayWeights::for_cost_model(ctx.require_cost_model("cost-aware buffer insertion")?)
+            }
+        };
+        let arrival = match self.strategy {
+            BufferStrategy::Retimed => {
+                Arc::new(crate::retiming::schedule_levels(ctx.netlist()).retimed)
+            }
+            _ => ctx.arrivals(&weights)?,
+        };
         let fanout = ctx.fanout_edges();
-        let stats = insert_buffers_prepared(ctx.netlist_mut(), &levels, &fanout);
-        ctx.buffers = Some(stats);
+        let stats = balance_paths(ctx.netlist_mut(), &arrival, &weights, &fanout)?;
+        if weights == DelayWeights::UNIT && !matches!(self.strategy, BufferStrategy::Weighted(_)) {
+            ctx.buffers = Some(stats);
+        } else {
+            ctx.weighted = Some(crate::WeightedInsertion::from_kernel(stats));
+        }
         Ok(())
     }
 }

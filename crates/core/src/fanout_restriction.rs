@@ -288,13 +288,9 @@ impl crate::pipeline::Pass for CostAwareFanoutPass {
         &self,
         ctx: &mut crate::pipeline::FlowContext<'_>,
     ) -> Result<(), crate::pipeline::PassError> {
-        let table = ctx.cost_model().cloned().ok_or_else(|| {
-            crate::pipeline::PassError::Custom(
-                "cost-aware fan-out restriction needs a cost model \
-                 (the model argument of FlowPipeline::run_with_model, or a FlowSpec technology)"
-                    .to_owned(),
-            )
-        })?;
+        let table = ctx
+            .require_cost_model("cost-aware fan-out restriction")?
+            .clone();
         if self.candidates.is_empty() {
             return Err(crate::pipeline::PassError::Custom(
                 "cost-aware fan-out restriction needs at least one candidate limit".to_owned(),

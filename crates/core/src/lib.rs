@@ -161,14 +161,8 @@ mod weighted;
 pub use mig::{EquivalencePolicy, PatternBlock, SweepConfig, WordFunction, DEFAULT_BLOCK_WORDS};
 
 pub use arena::EvalArena;
-pub use balance::{
-    verify_balance, verify_balance_prepared, BalanceError, BalanceReport, FanoutBoundPass,
-    VerifyBalancePass,
-};
-pub use buffer_insertion::{
-    insert_buffers, insert_buffers_prepared, insert_buffers_with_levels, BufferInsertion,
-    BufferInsertionPass,
-};
+pub use balance::{verify_balance, BalanceError, BalanceReport};
+pub use buffer_insertion::{insert_buffers, insert_buffers_with_levels, BufferInsertion};
 pub use component::{CompId, Component, ComponentKind};
 pub use cost::{CostModel, CostTable, PricedCost, PricedDelta};
 pub use engine::{CircuitResolver, Engine, EngineCell, EngineRun, EngineStats};
@@ -189,12 +183,11 @@ pub use pipeline::{
     BufferStrategy, FlowContext, FlowPipeline, FlowPipelineBuilder, Pass, PassError, PassKind,
     PassStats, PipelineError, PipelineRun,
 };
-pub use retiming::{insert_buffers_retimed, schedule_levels, LevelSchedule, RetimedInsertionPass};
+pub use retiming::{insert_buffers_retimed, schedule_levels, LevelSchedule};
 pub use spec::{CacheSpec, CircuitSpec, FlowSpec, PassSpec, PipelineSpec, SpecError, SynthSpec};
 pub use verify::{differential, NetlistFunction};
 pub use wavesim::{WaveRun, WaveSimulator, WaveWideRun, WaveWordRun};
 pub use weighted::{
-    insert_buffers_weighted, verify_weighted_balance, weighted_arrivals, CostAwareInsertionPass,
-    CostAwareVerifyPass, DelayWeights, VerifyWeightedPass, WeightedBalanceError, WeightedInsertion,
-    WeightedInsertionPass,
+    insert_buffers_weighted, verify_weighted_balance, weighted_arrivals, DelayWeights,
+    WeightedBalanceError, WeightedInsertion,
 };

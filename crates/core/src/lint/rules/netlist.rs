@@ -7,6 +7,7 @@ use crate::component::ComponentKind;
 use crate::lint::rules::capped;
 use crate::lint::{Category, Diagnostic, LintContext, LintRule, Severity};
 use crate::netlist::{Netlist, NetlistError};
+use crate::weighted::DelayWeights;
 
 /// `WP001` — every input→component path has equal length.
 ///
@@ -49,7 +50,7 @@ impl LintRule for PathBalance {
             self,
             ctx,
             netlist,
-            balance::edge_span_violations(netlist, &levels),
+            balance::edge_span_violations(netlist, &levels, &DelayWeights::UNIT),
         )
     }
 }

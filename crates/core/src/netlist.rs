@@ -433,23 +433,11 @@ impl Netlist {
 
     /// [`Netlist::levels`] against an already-computed topological
     /// order, so callers holding one (see [`StructuralCaches`]) skip
-    /// the traversal.
+    /// the traversal. These are the arrival times of the one arrival
+    /// walk under [`DelayWeights::UNIT`](crate::DelayWeights::UNIT).
     pub fn levels_from_order(&self, order: &[CompId]) -> Vec<u32> {
-        let mut levels = vec![0u32; self.components.len()];
-        for &id in order {
-            let comp = &self.components[id.index()];
-            if comp.fanins().is_empty() {
-                continue;
-            }
-            levels[id.index()] = 1 + comp
-                .fanins()
-                .iter()
-                .filter(|f| !matches!(self.components[f.index()].kind(), ComponentKind::Const))
-                .map(|f| levels[f.index()])
-                .max()
-                .unwrap_or(0);
-        }
-        levels
+        crate::weighted::arrivals_from_order(self, order, &crate::DelayWeights::UNIT)
+            .expect("unit-weight levels are bounded by the component count")
     }
 
     /// Netlist depth: maximum level over non-constant primary outputs.
@@ -736,59 +724,6 @@ impl Netlist {
             arena.eval_wide_into(pattern, width, values, &mut out);
             Ok(out)
         })
-    }
-
-    /// The word-level evaluation kernel against an already-computed
-    /// topological order and a caller-owned scratch buffer (one word
-    /// per component, overwritten) — what block sweeps use so neither
-    /// the traversal order nor the value buffer is recomputed or
-    /// reallocated per 64-pattern block (see
-    /// [`crate::verify::NetlistFunction`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern` does not match the input count, or `order` /
-    /// `values` do not cover every component.
-    pub fn eval_words_prepared(
-        &self,
-        pattern: &[u64],
-        order: &[CompId],
-        values: &mut [u64],
-    ) -> Vec<u64> {
-        assert_eq!(
-            pattern.len(),
-            self.inputs.len(),
-            "pattern width must match the input count"
-        );
-        assert!(
-            order.len() >= self.components.len() && values.len() >= self.components.len(),
-            "topological order and scratch must cover every component"
-        );
-        for &id in order {
-            let v = match &self.components[id.index()] {
-                Component::Input { position } => pattern[*position as usize],
-                Component::Const { value } => {
-                    if *value {
-                        !0
-                    } else {
-                        0
-                    }
-                }
-                Component::Maj { fanins } => {
-                    let a = values[fanins[0].index()];
-                    let b = values[fanins[1].index()];
-                    let c = values[fanins[2].index()];
-                    a & b | a & c | b & c
-                }
-                Component::Inv { fanin } => !values[fanin.index()],
-                Component::Buf { fanin } | Component::Fog { fanin } => values[fanin.index()],
-            };
-            values[id.index()] = v;
-        }
-        self.outputs
-            .iter()
-            .map(|p| values[p.driver.index()])
-            .collect()
     }
 }
 

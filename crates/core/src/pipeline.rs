@@ -28,7 +28,7 @@ use mig::Mig;
 
 use std::sync::Arc;
 
-use crate::balance::{BalanceError, BalanceReport};
+use crate::balance::{BalanceError, BalanceReport, VerifyPass};
 use crate::buffer_insertion::BufferInsertion;
 use crate::component::CompId;
 use crate::cost::{CostTable, PricedDelta};
@@ -138,9 +138,11 @@ pub struct FlowContext<'g> {
     caches: StructuralCaches,
     /// Fan-out restriction statistics (set by the fan-out pass).
     pub fanout: Option<FanoutRestriction>,
-    /// Buffer insertion statistics (set by ASAP/retimed insertion).
+    /// Buffer insertion statistics (set by unit-weight insertion: ASAP,
+    /// retimed, or cost-aware under unit phase weights).
     pub buffers: Option<BufferInsertion>,
-    /// Weighted insertion statistics (set by weighted insertion).
+    /// Weighted insertion statistics (set by weighted insertion, and by
+    /// cost-aware insertion under non-unit phase weights).
     pub weighted: Option<WeightedInsertion>,
     /// Balance verification report (set by the verify pass).
     pub report: Option<BalanceReport>,
@@ -201,6 +203,36 @@ impl<'g> FlowContext<'g> {
     /// cost-blind passes ignore it.
     pub fn cost_model(&self) -> Option<&CostTable> {
         self.cost.as_ref()
+    }
+
+    /// The run's cost model, or the error a cost-aware `pass` fails
+    /// with when the cell has none.
+    pub(crate) fn require_cost_model(&self, pass: &str) -> Result<&CostTable, PassError> {
+        self.cost.as_ref().ok_or_else(|| {
+            PassError::Custom(format!(
+                "{pass} needs a cost model \
+                 (the model argument of FlowPipeline::run_with_model, or a FlowSpec technology)"
+            ))
+        })
+    }
+
+    /// Arrival times of the working netlist under `weights`: the cached
+    /// ASAP levels for [`DelayWeights::UNIT`], otherwise the one arrival
+    /// walk over the cached topological order.
+    ///
+    /// # Errors
+    ///
+    /// [`WeightedBalanceError::ArrivalOverflow`].
+    pub(crate) fn arrivals(&mut self, weights: &DelayWeights) -> Result<Arc<Vec<u32>>, PassError> {
+        if *weights == DelayWeights::UNIT {
+            return Ok(self.levels());
+        }
+        let order = self.topo_order();
+        Ok(Arc::new(crate::weighted::arrivals_from_order(
+            &self.netlist,
+            &order,
+            weights,
+        )?))
     }
 
     /// Cached topological order of the working netlist.
@@ -893,29 +925,20 @@ impl FlowPipelineBuilder {
 
     /// Adds a buffer-insertion pass with the chosen strategy.
     pub fn insert_buffers(self, strategy: BufferStrategy) -> FlowPipelineBuilder {
-        match strategy {
-            BufferStrategy::Asap => {
-                self.pass(Box::new(crate::buffer_insertion::BufferInsertionPass))
-            }
-            BufferStrategy::Retimed => self.pass(Box::new(crate::retiming::RetimedInsertionPass)),
-            BufferStrategy::Weighted(weights) => {
-                self.pass(Box::new(crate::weighted::WeightedInsertionPass { weights }))
-            }
-            BufferStrategy::CostAware => {
-                self.pass(Box::new(crate::weighted::CostAwareInsertionPass))
-            }
-        }
+        self.pass(Box::new(crate::buffer_insertion::InsertBuffersPass {
+            strategy,
+        }))
     }
 
     /// Adds unit-delay balance verification (plus the fan-out bound
     /// when `fanout_limit` is given).
     pub fn verify(self, fanout_limit: Option<u32>) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::balance::VerifyBalancePass { fanout_limit }))
+        self.pass(Box::new(VerifyPass::Balance { fanout_limit }))
     }
 
     /// Adds weighted-delay balance verification.
     pub fn verify_weighted(self, weights: DelayWeights) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::weighted::VerifyWeightedPass { weights }))
+        self.pass(Box::new(VerifyPass::Weighted(weights)))
     }
 
     /// Adds cost-aware balance verification: checks against the phase
@@ -923,15 +946,13 @@ impl FlowPipelineBuilder {
     /// [`BufferStrategy::CostAware`]). `fanout_limit` additionally
     /// enforces the §IV bound.
     pub fn verify_cost_aware(self, fanout_limit: Option<u32>) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::weighted::CostAwareVerifyPass {
-            fanout_limit,
-        }))
+        self.pass(Box::new(VerifyPass::CostAware { fanout_limit }))
     }
 
     /// Adds a fan-out bound check without full balance verification
     /// (the FOx-only configurations of Fig 8).
     pub fn check_fanout_bound(self, limit: u32) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::balance::FanoutBoundPass { limit }))
+        self.pass(Box::new(VerifyPass::FanoutBound { limit }))
     }
 
     /// Registers an arbitrary custom pass.

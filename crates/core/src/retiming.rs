@@ -213,30 +213,6 @@ pub fn insert_buffers_retimed(netlist: &mut Netlist) -> BufferInsertion {
     insert_buffers_with_levels(netlist, &schedule.retimed)
 }
 
-/// Pipeline pass wrapping [`insert_buffers_retimed`] (Algorithm 1
-/// against hill-climbed levels — same depth, fewer buffers).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RetimedInsertionPass;
-
-impl crate::pipeline::Pass for RetimedInsertionPass {
-    fn name(&self) -> String {
-        "insert_buffers(retimed)".to_owned()
-    }
-
-    fn kind(&self) -> crate::pipeline::PassKind {
-        crate::pipeline::PassKind::BufferInsertion
-    }
-
-    fn run(
-        &self,
-        ctx: &mut crate::pipeline::FlowContext<'_>,
-    ) -> Result<(), crate::pipeline::PassError> {
-        let stats = insert_buffers_retimed(ctx.netlist_mut());
-        ctx.buffers = Some(stats);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

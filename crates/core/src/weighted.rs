@@ -1,24 +1,45 @@
-//! Weighted-delay path balancing — the paper's technology-tailored mode.
+//! Delay weights and weighted arrival times — the parameters of the
+//! one path-balancing kernel.
 //!
 //! Section III keeps the algorithm "technology-agnostic by assuming
 //! generic components", but notes that "we have included in the
 //! implementation the possibility to adjust component weights so that
-//! the final result can be tailored to different technologies". This
-//! module is that mode: every component kind carries an integer delay
-//! weight (in clock phases) and balancing equalizes *weighted* path
-//! delays, filling gaps with chains of buffers of weight
-//! [`DelayWeights::buf`].
+//! the final result can be tailored to different technologies". So
+//! there is one balancing algorithm (the shared-chain greedy in
+//! [`crate::buffer_insertion`]) and one arrival walk
+//! (`arrivals_from_order`), and [`DelayWeights`] is their only
+//! parameter: every component kind carries an integer delay in clock
+//! phases, a consumer needs its driver at `arrival(consumer) −
+//! weight(consumer)`, and gaps are filled with chains of buffers of
+//! weight [`DelayWeights::buf`].
 //!
-//! With unit weights this degenerates to [`crate::insert_buffers`]. With
-//! QCA-style weights (INV 7, MAJ 2, BUF 1, FOG 2) an inverter occupies
-//! seven clock phases and its sibling paths receive seven phases of
-//! buffering — which is why the paper's generic results use unit
-//! weights: weighted balancing pays a real buffer premium around slow
-//! components (quantified by the `ablation_weighted` comparison in the
-//! bench crate's harness tests).
+//! Each [`crate::BufferStrategy`] is one setting of that parameter:
+//!
+//! * **ASAP** — [`DelayWeights::UNIT`] on the ASAP levels, which are the
+//!   unit-weight arrivals ([`crate::insert_buffers`]);
+//! * **retimed** — [`DelayWeights::UNIT`] on hill-climbed levels
+//!   ([`crate::insert_buffers_retimed`]);
+//! * **weighted** — explicit weights on their weighted arrivals
+//!   ([`insert_buffers_weighted`]);
+//! * **cost-aware** — [`DelayWeights::for_cost_model`] of the run's
+//!   technology.
+//!
+//! With QCA-style weights (INV 7, MAJ 2, BUF 1, FOG 2) an inverter
+//! occupies seven clock phases and its sibling paths receive seven
+//! phases of buffering — which is why the paper's generic results use
+//! unit weights: weighted balancing pays a real buffer premium around
+//! slow components (quantified by the `ablation_weighted` comparison in
+//! the bench crate's harness tests).
+//!
+//! Verification is likewise one set of walkers in [`crate::balance`]
+//! parameterized by the weights: [`verify_weighted_balance`] and
+//! [`crate::verify_balance`] differ only in the weights they pass and
+//! in how they word a violation.
 
 use std::fmt;
 
+use crate::balance::BalanceError;
+use crate::buffer_insertion::{balance_paths, BufferInsertion};
 use crate::component::{CompId, ComponentKind};
 use crate::netlist::Netlist;
 
@@ -119,6 +140,13 @@ pub enum WeightedBalanceError {
     },
     /// Buffer weight of zero was requested.
     ZeroBufferWeight,
+    /// A weighted arrival time does not fit in `u32` (the weights are
+    /// too large for the netlist's depth).
+    ArrivalOverflow {
+        /// The first component, in topological order, whose arrival
+        /// overflows.
+        at: CompId,
+    },
 }
 
 impl fmt::Display for WeightedBalanceError {
@@ -136,6 +164,11 @@ impl fmt::Display for WeightedBalanceError {
             WeightedBalanceError::ZeroBufferWeight => {
                 write!(f, "buffer weight must be positive")
             }
+            WeightedBalanceError::ArrivalOverflow { at } => write!(
+                f,
+                "weighted arrival of {at} exceeds {} clock phases",
+                u32::MAX
+            ),
         }
     }
 }
@@ -151,11 +184,33 @@ pub struct WeightedInsertion {
     pub weighted_depth: u32,
 }
 
-/// Computes weighted arrival times: `arrival(v) = weight(v) + max over
-/// non-constant fan-ins of arrival(u)`; inputs and constants arrive at 0.
-pub fn weighted_arrivals(netlist: &Netlist, weights: &DelayWeights) -> Vec<u32> {
+impl WeightedInsertion {
+    /// The weighted view of the kernel's statistics: its depth is the
+    /// common weighted output arrival.
+    pub(crate) fn from_kernel(stats: BufferInsertion) -> WeightedInsertion {
+        WeightedInsertion {
+            buffers: stats.total(),
+            weighted_depth: stats.depth,
+        }
+    }
+}
+
+/// The one arrival walk: `arrival(v) = weight(v) + max over
+/// non-constant fan-ins of arrival(u)` along `order`; inputs and
+/// constants arrive at 0. Under [`DelayWeights::UNIT`] these are the
+/// ASAP levels ([`Netlist::levels`]).
+///
+/// # Errors
+///
+/// [`WeightedBalanceError::ArrivalOverflow`] when an arrival does not
+/// fit in `u32`.
+pub(crate) fn arrivals_from_order(
+    netlist: &Netlist,
+    order: &[CompId],
+    weights: &DelayWeights,
+) -> Result<Vec<u32>, WeightedBalanceError> {
     let mut arrival = vec![0u32; netlist.len()];
-    for id in netlist.topo_order() {
+    for &id in order {
         let comp = netlist.component(id);
         if comp.fanins().is_empty() {
             continue;
@@ -167,9 +222,23 @@ pub fn weighted_arrivals(netlist: &Netlist, weights: &DelayWeights) -> Vec<u32> 
             .map(|f| arrival[f.index()])
             .max()
             .unwrap_or(0);
-        arrival[id.index()] = max_in + weights.of(comp.kind());
+        arrival[id.index()] = max_in
+            .checked_add(weights.of(comp.kind()))
+            .ok_or(WeightedBalanceError::ArrivalOverflow { at: id })?;
     }
-    arrival
+    Ok(arrival)
+}
+
+/// Computes weighted arrival times: `arrival(v) = weight(v) + max over
+/// non-constant fan-ins of arrival(u)`; inputs and constants arrive at 0.
+///
+/// # Panics
+///
+/// Panics if an arrival does not fit in `u32`;
+/// [`insert_buffers_weighted`] and [`verify_weighted_balance`] report
+/// that case as an error instead.
+pub fn weighted_arrivals(netlist: &Netlist, weights: &DelayWeights) -> Vec<u32> {
+    arrivals_from_order(netlist, &netlist.topo_order(), weights).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Balances weighted path delays in place.
@@ -177,323 +246,66 @@ pub fn weighted_arrivals(netlist: &Netlist, weights: &DelayWeights) -> Vec<u32> 
 /// After success, for every edge `u → v` (non-constant `u`) the
 /// weighted arrival of `v`'s fan-in side equals `arrival(v) −
 /// weight(v)`, and all non-constant outputs share one weighted arrival.
-/// Buffer chains are shared per driver exactly as in the unit-weight
-/// algorithm.
+/// Buffer chains are shared per driver: this is the one balancing
+/// kernel, run on the weighted arrivals.
 ///
 /// # Errors
 ///
 /// Returns [`WeightedBalanceError::IndivisibleGap`] when a gap cannot be
 /// tiled by buffers (impossible when `weights.buf == 1`, the case for
-/// SWD and QCA), or [`WeightedBalanceError::ZeroBufferWeight`].
+/// SWD and QCA), [`WeightedBalanceError::ZeroBufferWeight`], or
+/// [`WeightedBalanceError::ArrivalOverflow`]. The netlist is untouched
+/// on error.
 pub fn insert_buffers_weighted(
     netlist: &mut Netlist,
     weights: &DelayWeights,
 ) -> Result<WeightedInsertion, WeightedBalanceError> {
-    if weights.buf == 0 {
-        return Err(WeightedBalanceError::ZeroBufferWeight);
-    }
-    let arrival = weighted_arrivals(netlist, weights);
+    let arrival = arrivals_from_order(netlist, &netlist.topo_order(), weights)?;
     let fanout = netlist.fanout_edges();
-    let original_len = netlist.len();
-
-    let max_output_arrival = netlist
-        .outputs()
-        .iter()
-        .filter(|p| netlist.component(p.driver).kind() != ComponentKind::Const)
-        .map(|p| arrival[p.driver.index()])
-        .max()
-        .unwrap_or(0);
-    let mut output_uses: Vec<Vec<usize>> = vec![Vec::new(); original_len];
-    for (pos, p) in netlist.outputs().iter().enumerate() {
-        if netlist.component(p.driver).kind() != ComponentKind::Const {
-            output_uses[p.driver.index()].push(pos);
-        }
-    }
-
-    // Pre-check divisibility of every gap so the netlist is untouched on
-    // error (strong exception safety for the caller).
-    for idx in 0..original_len {
-        let comp = CompId::from_index(idx);
-        if netlist.component(comp).kind() == ComponentKind::Const {
-            continue;
-        }
-        for &(consumer, _) in &fanout[idx] {
-            let kind = netlist.component(consumer).kind();
-            let need = arrival[consumer.index()] - weights.of(kind);
-            let gap = need - arrival[idx];
-            if !gap.is_multiple_of(weights.buf) {
-                return Err(WeightedBalanceError::IndivisibleGap {
-                    from: comp,
-                    to: consumer,
-                    gap,
-                    buf_weight: weights.buf,
-                });
-            }
-        }
-        for &_pos in &output_uses[idx] {
-            let gap = max_output_arrival - arrival[idx];
-            if !gap.is_multiple_of(weights.buf) {
-                return Err(WeightedBalanceError::IndivisibleGap {
-                    from: comp,
-                    to: comp,
-                    gap,
-                    buf_weight: weights.buf,
-                });
-            }
-        }
-    }
-
-    let mut buffers = 0usize;
-    for idx in 0..original_len {
-        let comp = CompId::from_index(idx);
-        if netlist.component(comp).kind() == ComponentKind::Const {
-            continue;
-        }
-        enum Use {
-            Gate { consumer: CompId, slot: usize },
-            Output { position: usize },
-        }
-        let mut uses: Vec<(u32, Use)> = fanout[idx]
-            .iter()
-            .map(|&(consumer, slot)| {
-                let kind = netlist.component(consumer).kind();
-                (
-                    arrival[consumer.index()] - weights.of(kind),
-                    Use::Gate { consumer, slot },
-                )
-            })
-            .collect();
-        for &position in &output_uses[idx] {
-            uses.push((max_output_arrival, Use::Output { position }));
-        }
-        if uses.is_empty() {
-            continue;
-        }
-        uses.sort_by_key(|&(required, _)| required);
-
-        let mut chain_head = comp;
-        let mut chain_arrival = arrival[idx];
-        for (required, u) in uses {
-            while chain_arrival < required {
-                chain_head = netlist.add_buf(chain_head);
-                chain_arrival += weights.buf;
-                buffers += 1;
-            }
-            debug_assert_eq!(chain_arrival.max(required), chain_arrival);
-            match u {
-                Use::Gate { consumer, slot } => {
-                    netlist.component_mut(consumer).fanins_mut()[slot] = chain_head;
-                }
-                Use::Output { position } => netlist.set_output_driver(position, chain_head),
-            }
-        }
-    }
-
-    Ok(WeightedInsertion {
-        buffers,
-        weighted_depth: max_output_arrival,
-    })
+    balance_paths(netlist, &arrival, weights, &fanout).map(WeightedInsertion::from_kernel)
 }
 
 /// Verifies the weighted balancing invariants (the weighted analogue of
-/// [`crate::verify_balance`]).
-pub fn verify_weighted_balance(netlist: &Netlist, weights: &DelayWeights) -> Result<u32, String> {
-    let arrival = weighted_arrivals(netlist, weights);
-    for id in netlist.ids() {
-        let comp = netlist.component(id);
-        for &f in comp.fanins() {
-            if netlist.component(f).kind() == ComponentKind::Const {
-                continue;
-            }
-            let expect = arrival[id.index()] - weights.of(comp.kind());
-            if arrival[f.index()] != expect {
-                return Err(format!(
-                    "edge {f} → {id}: fan-in arrives at {} but the gate fires at {expect}",
-                    arrival[f.index()]
-                ));
-            }
-        }
-    }
-    let mut out_arrival = None;
-    for p in netlist.outputs() {
-        if netlist.component(p.driver).kind() == ComponentKind::Const {
-            continue;
-        }
-        let a = arrival[p.driver.index()];
-        match out_arrival {
-            None => out_arrival = Some(a),
-            Some(prev) if prev != a => {
-                return Err(format!(
-                    "output `{}` arrives at {a}, earlier outputs at {prev}",
-                    p.name
-                ))
-            }
-            Some(_) => {}
-        }
-    }
-    Ok(out_arrival.unwrap_or(0))
-}
-
-/// Pipeline pass wrapping [`insert_buffers_weighted`] (§III's
-/// technology-tailored mode). Deposits [`WeightedInsertion`] statistics
-/// in the context; the unit-delay `buffers` slot stays empty.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WeightedInsertionPass {
-    /// Per-kind delay weights to balance against.
-    pub weights: DelayWeights,
-}
-
-impl crate::pipeline::Pass for WeightedInsertionPass {
-    fn name(&self) -> String {
-        "insert_buffers(weighted)".to_owned()
-    }
-
-    fn kind(&self) -> crate::pipeline::PassKind {
-        crate::pipeline::PassKind::BufferInsertion
-    }
-
-    fn run(
-        &self,
-        ctx: &mut crate::pipeline::FlowContext<'_>,
-    ) -> Result<(), crate::pipeline::PassError> {
-        let stats = insert_buffers_weighted(ctx.netlist_mut(), &self.weights)?;
-        ctx.weighted = Some(stats);
-        Ok(())
-    }
-}
-
-/// Cost-aware buffer insertion: balances against the phase-occupancy
-/// weights the run's cost model implies
-/// ([`DelayWeights::for_cost_model`]).
+/// [`crate::verify_balance`], through the same walkers) and returns the
+/// common weighted arrival of the outputs.
 ///
-/// When every component fits in one phase (unit weights — SWD, NML)
-/// this *is* Algorithm 1 against ASAP levels and deposits the ordinary
-/// [`BufferInsertion`](crate::BufferInsertion) statistics; otherwise it
-/// runs weighted balancing and deposits [`WeightedInsertion`]
-/// statistics. Fails with
-/// [`PassError::Custom`](crate::pipeline::PassError::Custom) when the
-/// run carries no cost model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CostAwareInsertionPass;
+/// # Errors
+///
+/// A description of the first unbalanced edge or misaligned output, or
+/// of an arrival overflow.
+pub fn verify_weighted_balance(netlist: &Netlist, weights: &DelayWeights) -> Result<u32, String> {
+    let arrival =
+        arrivals_from_order(netlist, &netlist.topo_order(), weights).map_err(|e| e.to_string())?;
+    crate::balance::check_balance(netlist, &arrival, weights)
+        .map_err(|e| describe_weighted_violation(netlist, weights, &e))
+}
 
-impl crate::pipeline::Pass for CostAwareInsertionPass {
-    fn name(&self) -> String {
-        "insert_buffers(cost-aware)".to_owned()
-    }
-
-    fn kind(&self) -> crate::pipeline::PassKind {
-        crate::pipeline::PassKind::BufferInsertion
-    }
-
-    fn run(
-        &self,
-        ctx: &mut crate::pipeline::FlowContext<'_>,
-    ) -> Result<(), crate::pipeline::PassError> {
-        let table = ctx.cost_model().ok_or_else(|| {
-            crate::pipeline::PassError::Custom(
-                "cost-aware buffer insertion needs a cost model \
-                 (the model argument of FlowPipeline::run_with_model, or a FlowSpec technology)"
-                    .to_owned(),
+/// Words a balance violation found under `weights` in arrival times
+/// rather than levels.
+pub(crate) fn describe_weighted_violation(
+    netlist: &Netlist,
+    weights: &DelayWeights,
+    violation: &BalanceError,
+) -> String {
+    match violation {
+        BalanceError::EdgeSpan {
+            from,
+            to,
+            from_level,
+            to_level,
+        } => {
+            let fires = to_level - weights.of(netlist.component(*to).kind());
+            format!(
+                "edge {from} → {to}: fan-in arrives at {from_level} but the gate fires at {fires}"
             )
-        })?;
-        let weights = DelayWeights::for_cost_model(table);
-        if weights == DelayWeights::UNIT {
-            let levels = ctx.levels();
-            let fanout = ctx.fanout_edges();
-            let stats = crate::buffer_insertion::insert_buffers_prepared(
-                ctx.netlist_mut(),
-                &levels,
-                &fanout,
-            );
-            ctx.buffers = Some(stats);
-        } else {
-            let stats = insert_buffers_weighted(ctx.netlist_mut(), &weights)?;
-            ctx.weighted = Some(stats);
         }
-        Ok(())
-    }
-}
-
-/// Cost-aware balance verification: the verifier matching
-/// [`CostAwareInsertionPass`]. Unit weights verify the plain invariants
-/// (and record the [`crate::BalanceReport`]); non-unit weights verify
-/// weighted balance. `fanout_limit` additionally enforces the §IV
-/// bound in both modes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CostAwareVerifyPass {
-    /// Additionally enforce the §IV fan-out bound when given.
-    pub fanout_limit: Option<u32>,
-}
-
-impl crate::pipeline::Pass for CostAwareVerifyPass {
-    fn name(&self) -> String {
-        "verify(cost-aware)".to_owned()
-    }
-
-    fn kind(&self) -> crate::pipeline::PassKind {
-        crate::pipeline::PassKind::Verify
-    }
-
-    fn run(
-        &self,
-        ctx: &mut crate::pipeline::FlowContext<'_>,
-    ) -> Result<(), crate::pipeline::PassError> {
-        let table = ctx.cost_model().ok_or_else(|| {
-            crate::pipeline::PassError::Custom(
-                "cost-aware verification needs a cost model \
-                 (the model argument of FlowPipeline::run_with_model, or a FlowSpec technology)"
-                    .to_owned(),
-            )
-        })?;
-        ctx.netlist()
-            .validate()
-            .map_err(crate::pipeline::PassError::Custom)?;
-        let weights = DelayWeights::for_cost_model(table);
-        if weights == DelayWeights::UNIT {
-            let levels = ctx.levels();
-            let fanout_counts = ctx.fanout_counts();
-            let report = crate::balance::verify_balance_prepared(
-                ctx.netlist(),
-                self.fanout_limit,
-                &levels,
-                &fanout_counts,
-            )?;
-            ctx.report = Some(report);
-        } else {
-            verify_weighted_balance(ctx.netlist(), &weights)
-                .map_err(crate::pipeline::PassError::Custom)?;
-            if let Some(limit) = self.fanout_limit {
-                let counts = ctx.fanout_counts();
-                crate::balance::check_fanout_bound(ctx.netlist(), &counts, limit)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Pipeline pass wrapping [`verify_weighted_balance`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VerifyWeightedPass {
-    /// The weights the netlist was balanced against.
-    pub weights: DelayWeights,
-}
-
-impl crate::pipeline::Pass for VerifyWeightedPass {
-    fn name(&self) -> String {
-        "verify(weighted)".to_owned()
-    }
-
-    fn kind(&self) -> crate::pipeline::PassKind {
-        crate::pipeline::PassKind::Verify
-    }
-
-    fn run(
-        &self,
-        ctx: &mut crate::pipeline::FlowContext<'_>,
-    ) -> Result<(), crate::pipeline::PassError> {
-        verify_weighted_balance(ctx.netlist(), &self.weights)
-            .map(|_depth| ())
-            .map_err(crate::pipeline::PassError::Custom)
+        BalanceError::OutputMisaligned {
+            first_level,
+            other,
+            other_level,
+            ..
+        } => format!("output `{other}` arrives at {other_level}, earlier outputs at {first_level}"),
+        BalanceError::FanoutExceeded { .. } => violation.to_string(),
     }
 }
 
@@ -617,6 +429,45 @@ mod tests {
             insert_buffers_weighted(&mut n, &bad),
             Err(WeightedBalanceError::ZeroBufferWeight)
         );
+    }
+
+    #[test]
+    fn overflowing_arrivals_are_errors_and_leave_the_netlist_untouched() {
+        let mut n = mapped_sample(63);
+        let len = n.len();
+        let huge = DelayWeights {
+            inv: u32::MAX,
+            maj: u32::MAX,
+            buf: 1,
+            fog: u32::MAX,
+        };
+        let err = insert_buffers_weighted(&mut n, &huge).unwrap_err();
+        assert!(
+            matches!(err, WeightedBalanceError::ArrivalOverflow { .. }),
+            "{err:?}"
+        );
+        assert_eq!(n.len(), len, "failed balancing must not mutate");
+        assert_eq!(
+            verify_weighted_balance(&n, &huge).unwrap_err(),
+            err.to_string()
+        );
+    }
+
+    #[test]
+    fn weighted_verification_words_violations_as_arrivals() {
+        let mut n = Netlist::new("skew");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let inv = n.add_inv(a);
+        let g = n.add_maj([inv, b, a]);
+        n.add_output("f", g);
+        n.add_output("g", inv);
+        assert_eq!(
+            verify_weighted_balance(&n, &DelayWeights::QCA).unwrap_err(),
+            format!("edge {b} → {g}: fan-in arrives at 0 but the gate fires at 7")
+        );
+        insert_buffers_weighted(&mut n, &DelayWeights::QCA).unwrap();
+        assert_eq!(verify_weighted_balance(&n, &DelayWeights::QCA), Ok(9));
     }
 
     #[test]

@@ -35,8 +35,9 @@
 //! * [`Mig`] / [`Signal`] / [`Node`] — the graph itself, with
 //!   constant-folding, axiom-normalizing, structurally-hashing gate
 //!   construction and derived operators (AND/OR/XOR/MUX/adders).
-//! * [`Simulator`] / [`TruthTable`] / [`check_equivalence`] —
-//!   bit-parallel simulation, exhaustive tables and equivalence checks.
+//! * [`Simulator`] / [`PatternBlock`] / [`check_equivalence`] —
+//!   bit-parallel simulation, exhaustive pattern sweeps and equivalence
+//!   checks.
 //! * [`analysis`] — path/base-distance analysis (the paper's §III
 //!   definitions) and fan-out histograms.
 //! * [`rewrite`] — Ω-axiom rewriting: [`optimize_depth`],
@@ -60,7 +61,6 @@ mod random;
 pub mod rewrite;
 mod signal;
 mod simulate;
-mod truth_table;
 
 pub use analysis::{
     BaseDistance, ConeAnalysis, FanoutHistogram, GraphStats, PathAnalysis, Support,
@@ -78,4 +78,3 @@ pub use random::{random_mig, RandomMigConfig};
 pub use rewrite::{optimize_depth, optimize_size, DepthOptOutcome};
 pub use signal::{NodeId, Signal};
 pub use simulate::{SimPlan, Simulator};
-pub use truth_table::TruthTable;

@@ -315,6 +315,54 @@ impl crate::equivalence::WordFunction for Simulator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PatternBlock;
+
+    /// Output 0's exhaustive truth table, one masked word per 64-pattern
+    /// block.
+    fn exhaustive_table(g: &Mig) -> Vec<u64> {
+        let sim = Simulator::new(g);
+        let n = g.input_count();
+        (0..PatternBlock::block_count(n))
+            .map(|block| {
+                let patterns = PatternBlock::exhaustive(n, block);
+                sim.eval_words(patterns.words())[0] & patterns.lane_mask()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn xor_exhaustive_table_is_0x6() {
+        let mut g = Mig::new();
+        let a = g.add_input("a");
+        let b = g.add_input("b");
+        let f = g.add_xor(a, b);
+        g.add_output("f", f);
+        assert_eq!(exhaustive_table(&g), vec![0x6]);
+    }
+
+    #[test]
+    fn majority_exhaustive_table_is_0xe8() {
+        let mut g = Mig::new();
+        let ins = g.add_inputs("x", 3);
+        let m = g.add_maj(ins[0], ins[1], ins[2]);
+        g.add_output("m", m);
+        assert_eq!(exhaustive_table(&g), vec![0xe8]);
+    }
+
+    #[test]
+    fn seven_input_parity_spans_two_blocks() {
+        let mut g = Mig::new();
+        let ins = g.add_inputs("x", 7);
+        let p = g.add_xor_n(&ins);
+        g.add_output("p", p);
+        let table = exhaustive_table(&g);
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.iter().map(|w| w.count_ones()).sum::<u32>(), 64);
+        for pat in 0..128usize {
+            let bit = table[pat / 64] >> (pat % 64) & 1 != 0;
+            assert_eq!(bit, pat.count_ones() % 2 == 1, "pattern {pat}");
+        }
+    }
 
     #[test]
     fn majority_semantics() {

@@ -6,6 +6,11 @@
 //! balanced netlist's `write_netlist` text, the insertion statistics
 //! and the verification verdict — or, when balancing is impossible
 //! (NML's odd inverter gaps), the error variant and its message.
+//!
+//! The file also holds the arrival-overflow regressions: specs whose
+//! weighted arrivals exceed `u32` must fail their cell with an error,
+//! never panic, wrap or exhaust memory. CI runs this file in release
+//! too, where an unchecked overflow would wrap silently.
 
 use tech::Technology;
 use wavepipe::{BufferStrategy, CostTable, DelayWeights, FlowPipeline, PassError};
@@ -171,4 +176,56 @@ fn every_strategy_matches_its_golden_on_the_quick_subset() {
         println!("{actual}");
     }
     assert_eq!(actual, GOLDEN.trim());
+}
+
+/// Runs a one-cell spec through the engine and returns the cell's
+/// failure.
+fn probe(spec_json: &str) -> PassError {
+    let spec = wavepipe::FlowSpec::from_json(spec_json).expect("the probe spec parses");
+    let run = wavepipe::Engine::new()
+        .with_resolver(benchsuite::build_mig)
+        .run(&spec)
+        .expect("the probe spec validates");
+    assert_eq!(run.cells.len(), 1);
+    run.cells
+        .into_iter()
+        .next()
+        .and_then(|cell| cell.outcome.err())
+        .expect("an overflowing arrival fails its cell")
+}
+
+fn assert_arrival_overflow(e: PassError) {
+    assert!(
+        matches!(
+            e,
+            PassError::Weighted(wavepipe::WeightedBalanceError::ArrivalOverflow { .. })
+        ),
+        "expected an arrival overflow, got {e:?}"
+    );
+}
+
+/// A technology whose delays (or phase) make every component occupy
+/// `u32::MAX` clock phases under cost-aware balancing.
+fn cost_aware_probe(delay: &str, phase_delay: &str) -> String {
+    format!(
+        r#"{{"name":"overflow","pipeline":{{"minimize_inverters":false,"passes":[{{"pass":"restrict_fanout","limit":3}},{{"pass":"insert_buffers","strategy":"cost_aware"}},{{"pass":"verify_cost_aware","fanout_limit":3}}]}},"technologies":[{{"name":"EXTREME","area":[1,1,1,1],"delay":[{delay},{delay},{delay},{delay}],"energy":[1,1,1,1],"phase_delay":{phase_delay},"output_sense_energy":0}}],"circuits":["HAMMING"]}}"#
+    )
+}
+
+#[test]
+fn cost_table_delays_of_1e308_fail_the_cell_with_an_arrival_overflow() {
+    assert_arrival_overflow(probe(&cost_aware_probe("1e308", "1")));
+}
+
+#[test]
+fn phase_delay_of_1e_minus_300_fails_the_cell_with_an_arrival_overflow() {
+    assert_arrival_overflow(probe(&cost_aware_probe("1", "1e-300")));
+}
+
+#[test]
+fn u32_max_weights_fail_the_cell_instead_of_exhausting_memory() {
+    // The second gate level already needs 2 × (2³² − 1) phases.
+    assert_arrival_overflow(probe(
+        r#"{"name":"overflow","pipeline":{"minimize_inverters":false,"passes":[{"pass":"restrict_fanout","limit":3},{"pass":"insert_buffers","strategy":{"weighted":{"inv":4294967295,"maj":4294967295,"buf":1,"fog":4294967295}}},{"pass":"verify","fanout_limit":3}]},"technologies":[],"circuits":["HAMMING"]}"#,
+    ));
 }

@@ -208,9 +208,7 @@ fn bench_pr6_record_schema_is_pinned() {
             inputs: 2032,
             pipelined_size: 680_000,
             arena_slots: 190_000,
-            legacy_word_patterns_per_sec: 1.3e4,
             wide_patterns_per_sec: 2.0e5,
-            wide_speedup: 15.4,
         }],
         grid_circuit: "synth:dag:1".to_owned(),
         grid: vec![GridPoint {
@@ -233,12 +231,10 @@ fn bench_pr6_record_schema_is_pinned() {
         [
             "arena_slots",
             "inputs",
-            "legacy_word_patterns_per_sec",
             "name",
             "pipelined_size",
             "target_nodes",
-            "wide_patterns_per_sec",
-            "wide_speedup"
+            "wide_patterns_per_sec"
         ]
     );
     let cell = &serde::field(value.as_object().unwrap(), "grid")

@@ -1,9 +1,10 @@
 //! Staleness coverage for [`wavepipe::StructuralCaches`] and the
-//! `*_prepared` pass variants: a pass that primes the cached
+//! built-in passes that read it: a pass that primes the cached
 //! topological order / levels / fan-out views and *then* mutates the
 //! netlist must leave the following passes reading fresh views — the
-//! `FlowContext::netlist_mut` invalidation contract the prepared
-//! variants rely on.
+//! `FlowContext::netlist_mut` invalidation contract that restriction,
+//! insertion and verification rely on when they take their views from
+//! the context instead of recomputing them.
 
 use wavepipe::{
     differential, BufferStrategy, EquivalencePolicy, FlowContext, FlowPipeline, Netlist, Pass,
@@ -81,8 +82,8 @@ impl Pass for PrimeThenMutatePass {
     }
 }
 
-/// The downstream `*_prepared` passes (fan-out restriction and buffer
-/// insertion both read the context's cached views) must see the
+/// The downstream passes (fan-out restriction and buffer insertion
+/// both read the context's cached views) must see the
 /// mutation: the final netlist bounds the *new* wide fan-out, balances,
 /// and still computes the mutated function — pinned by an exhaustive
 /// word-level comparison against a reference netlist that replays the
